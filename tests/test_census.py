@@ -32,6 +32,8 @@ def test_h_count_modes():
     assert h_count(-1, 1, 0, 0, "le") == 0
     with pytest.raises(ValueError):
         h_count(4, 1, 0, 0, "between")
+    with pytest.raises(ValueError):  # mode is checked before the n < 0 shortcut
+        h_count(-1, 1, 0, 0, "bogus")
 
 
 def test_census_json_shape():
@@ -40,15 +42,16 @@ def test_census_json_shape():
     assert doc["total"] == 5
 
 
-def test_workers_env_gives_same_counts(monkeypatch):
-    baseline = dict(rank_census(12, 2, 0))
-    monkeypatch.setenv("DURFEE_WORKERS", "2")
-    rank_census.cache_clear()
-    try:
-        sharded = dict(rank_census(12, 2, 0))
-    finally:
-        rank_census.cache_clear()
-    assert sharded == baseline
+def test_rank_census_returns_fresh_counter():
+    c = rank_census(4, 1, 0)
+    c[3] += 10
+    assert rank_census(4, 1, 0)[3] == 1
+    assert census(4, 1, 0).total == 5
+
+
+def test_negative_n_is_rejected_not_enumerated():
+    with pytest.raises(ValueError):
+        rank_census(-1, 1, 0)
 
 
 def test_half_line_shift_matches_at_m0():

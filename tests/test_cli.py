@@ -1,6 +1,8 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
-
 
 from durfee import cli
 from durfee.qseries import VerificationReport
@@ -121,6 +123,8 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1
     code, _, err = run(capsys, "nonsense")
     assert code == 1
+    code, _, err = run(capsys, "verify", "pentagonal", "--order", "-1")
+    assert code == 1 and "error[Usage]" in err
 
 
 def test_domain_errors_exit_3(capsys):
@@ -144,3 +148,19 @@ def test_selftest_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert all(entry["ok"] for entry in doc)
+
+
+def test_selftest_unknown_suite_exit_1(capsys):
+    code, out, err = run(capsys, "selftest", "--suite", "golden", "--suite", "bogus")
+    assert code == 1 and "error[Usage]" in err
+    assert out == ""  # names are checked before any suite runs
+
+
+def test_cli_import_leaves_selftest_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, durfee.cli; print('durfee.selftest' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"

@@ -92,6 +92,13 @@ def test_enumerate_small_order():
     assert len(list(enumerate_partitions(5))) == 7
 
 
+def test_negative_n_rejected():
+    with pytest.raises(ValueError):
+        partitions_of(-1)
+    with pytest.raises(ValueError):
+        list(enumerate_partitions(-1))
+
+
 def test_enumerate_is_reverse_lexicographic_and_complete():
     for n in range(11):
         seen = [p.parts for p in enumerate_partitions(n)]

@@ -2,6 +2,7 @@ import pytest
 
 from durfee import (
     QSeries,
+    durfee_square_widths,
     h_census_series,
     inv_euler,
     jacobi_specialization,
@@ -64,9 +65,14 @@ def test_multisum_examples():
     assert multisum_lhs(1, None, 12) == QSeries.one(12)
     ms = multisum_lhs(2, None, 4)
     assert list(ms.coeffs) == [1, 1, 1, 1, 2]
+    # q_table reads its counts off multisum_lhs(k+1), so both are checked
+    # against enumeration: partitions of n with at most k Durfee squares
     T = 30
-    assert list(multisum_lhs(2, None, T).coeffs) == q_table(1, T)
-    assert list(multisum_lhs(3, None, T).coeffs) == q_table(2, T)
+    squares = [[len(durfee_square_widths(lam)) for lam in partitions_of(n)] for n in range(T + 1)]
+    for k in range(7):
+        want = [sum(1 for s in row if s <= k) for row in squares]
+        assert list(multisum_lhs(k + 1, None, T).coeffs) == want, k
+        assert q_table(k, T) == want, k
 
 
 def test_multisum_shift_bounds():
@@ -159,6 +165,8 @@ def test_verify_identity_errors():
         verify_identity("h_closed_form", 10, k=1, m=-1, r=1)
     with pytest.raises(UnsupportedRegion):
         verify_identity("h_closed_form", 10, k=1, m=1, r=0)
+    with pytest.raises(ValueError):
+        verify_identity("pentagonal", -1)
 
 
 def test_first_mismatch_structure():
