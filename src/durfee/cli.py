@@ -201,21 +201,19 @@ def _cmd_selftest(args) -> int:
 
     suites = tuple(args.suite) if args.suite else None
     results = run_selftest(suites)
-    bad = 0
+    bad = sum(1 for r in results if not r.ok)
     if args.json:
         print(
             json.dumps(
                 [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results]
             )
         )
-        bad = sum(1 for r in results if not r.ok)
     else:
         for r in results:
             if r.ok:
                 print(f"PASS {r.name} ({r.detail})" if r.detail else f"PASS {r.name}")
             else:
                 print(f"FAIL {r.name}: {r.detail}")
-                bad += 1
         print(f"{len(results) - bad}/{len(results)} checks passed")
     return 0 if bad == 0 else MISMATCH_EXIT
 

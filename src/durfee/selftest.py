@@ -1,15 +1,13 @@
 """Self-verification: golden examples and exhaustive law suites.
 
 Each suite returns a list of CheckResult; the CLI ``selftest`` subcommand
-runs them all and exits non-zero on any failure.  The heavy suites take
-range parameters so callers can trade coverage for time.
+runs them all and exits non-zero on any failure.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from .bijections import dyson_map, gen_conjugate, gen_dyson, gen_dyson_inverse
@@ -268,6 +266,7 @@ def _gen_dyson_contract_ok(lam: Partition, k: int, m: int, r: int) -> bool:
         and after.widths == tuple(w - 1 for w in before.widths)
         and after.a == t - r
         and after.b <= t
+        and after.r >= -r
         and gen_dyson_inverse(mu, k, m, r) == lam
     )
 
@@ -277,7 +276,8 @@ def _gen_dyson_contract_ok(lam: Partition, k: int, m: int, r: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def partition_invariants(max_conj_n: int = 30, max_count_n: int = 20) -> list[CheckResult]:
+def partition_invariants() -> list[CheckResult]:
+    max_conj_n, max_count_n = 30, 20
     tally = _Tally()
     for n in range(max_conj_n + 1):
         for lam in partitions_of(n):
@@ -320,9 +320,8 @@ def partition_invariants(max_conj_n: int = 30, max_count_n: int = 20) -> list[Ch
 # ---------------------------------------------------------------------------
 
 
-def decomposition_invariants(
-    max_n: int = 25, max_k: int = 4, ms: tuple[int, ...] = (-1, 0, 1, 2, 3)
-) -> list[CheckResult]:
+def decomposition_invariants() -> list[CheckResult]:
+    max_n, max_k, ms = 25, 4, (-1, 0, 1, 2, 3)
     tally = _Tally()
     for n in range(max_n + 1):
         for lam in partitions_of(n):
@@ -380,25 +379,6 @@ def _maximality_ok(lam: Partition, d: DurfeeDecomposition) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _capped_tuples(n: int, cap: int) -> tuple[tuple[int, ...], ...]:
-    """Partitions of n with all parts <= cap, as tuples."""
-    if n == 0:
-        return ((),)
-    if cap == 0:
-        return ()
-    out = []
-    for f in range(min(cap, n), 0, -1):
-        for rest in _capped_tuples(n - f, f):
-            out.append((f,) + rest)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _free_tuples(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(p.parts for p in partitions_of(n))
-
-
 def _merged_part(s, v: int, j: int) -> int:
     """Part at row j of the partition s with one extra part v (0 = none)."""
     if v == 0:
@@ -416,26 +396,19 @@ def _merged_part(s, v: int, j: int) -> int:
     return s[j - 2] if j - 1 <= len(s) else 0
 
 
-@lru_cache(maxsize=None)
-def _rest_candidates(caps: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(sum, tail) pairs for every tail (v_2..v_k) within the caps."""
-    return tuple(
-        (sum(rest), rest) for rest in product(*[range(c + 1) for c in caps])
-    )
-
-
-def _valid_tails(seqs, bounds):
+def _valid_tails(seqs, bounds, candidates):
     """Insertion tails (v_2..v_k) whose merged selection re-selects them.
 
     A candidate insertion lands back on the original sequence under
     selection-plus-removal exactly when the selection walk picks the
     inserted value at every level; for levels 2..k that condition does not
     involve the amount inserted into the first partition, so it can be
-    screened once per sequence.  Returns (tail_sum, tail, row_in_first).
+    screened once per sequence against the (sum, tail) candidates.
+    Returns (tail_sum, tail, row_in_first).
     """
     k = len(seqs)
     out = []
-    for s_t, rest in _rest_candidates(tuple(bounds)):
+    for s_t, rest in candidates:
         j = 1
         ok = True
         for i in range(k - 1, 0, -1):
@@ -449,45 +422,46 @@ def _valid_tails(seqs, bounds):
     return out
 
 
-def selection_invariants(
-    max_total: int = 16,
-    max_bound: int = 4,
-    max_k: int = 3,
-    extra: int = 10,
-    spot_every: int = 512,
-) -> list[CheckResult]:
+def selection_invariants(max_total: int = 16, extra: int = 10) -> list[CheckResult]:
     """Exhaustive removal/insertion laws over all bounded sequences.
 
-    Covers every sequence of at most max_k partitions with total size at
-    most max_total and bounds up to max_bound, and every insertion total
-    from the selection total A to A + extra.
+    Covers every sequence of at most three partitions with total size at
+    most max_total and bounds up to 4, and every insertion total from the
+    selection total A to A + extra.
     """
+    max_bound, max_k, spot_every = 4, 3, 512
     tally = _Tally()
     seen = 0
     for k in range(1, max_k + 1):
         for bounds in product(range(max_bound + 1), repeat=k - 1):
+            candidates = [(sum(t), t) for t in product(*[range(c + 1) for c in bounds])]
             for seqs in _bounded_sequences(k, bounds, max_total):
                 seen += 1
-                _check_sequence(tally, seqs, bounds, extra)
+                _check_sequence(tally, seqs, bounds, extra, candidates)
                 if seen % spot_every == 0:
                     _spot_check_public(tally, seqs, bounds, extra)
     return tally.results("selection")
 
 
 def _bounded_sequences(k: int, bounds, max_total: int):
+    # partitions come in reverse-lexicographic order, and filtering on the
+    # largest part keeps that order for the capped lists
+    free = [[p.parts for p in partitions_of(s)] for s in range(max_total + 1)]
+    capped = {b: [[t for t in ts if not t or t[0] <= b] for ts in free] for b in set(bounds)}
+
     def rec(i: int, budget: int, acc: tuple):
         if i == k:
             yield acc
             return
         for s in range(budget + 1):
-            choices = _free_tuples(s) if i == 0 else _capped_tuples(s, bounds[i - 1])
+            choices = free[s] if i == 0 else capped[bounds[i - 1]][s]
             for t in choices:
                 yield from rec(i + 1, budget - s, acc + (t,))
 
     yield from rec(0, max_total, ())
 
 
-def _check_sequence(tally: _Tally, seqs, bounds, extra: int) -> None:
+def _check_sequence(tally: _Tally, seqs, bounds, extra: int, candidates) -> None:
     lseqs = list(seqs)
     rows, parts = _select_raw(lseqs, bounds)
     A = sum(parts)
@@ -504,7 +478,7 @@ def _check_sequence(tally: _Tally, seqs, bounds, extra: int) -> None:
     back = _insert_raw(A, reduced, bounds)
     tally.add("insert undoes removal", back == lseqs, where)
 
-    tails = _valid_tails(seqs, bounds)
+    tails = _valid_tails(seqs, bounds, candidates)
     first = seqs[0]
 
     # incremental insertion: one cell at a time from a = A to A + extra
@@ -579,7 +553,8 @@ def _spot_check_public(tally: _Tally, seqs, bounds, extra: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def rank_invariants(max_n: int = 25, garvan_n: int = 20) -> list[CheckResult]:
+def rank_invariants() -> list[CheckResult]:
+    max_n, garvan_n = 25, 20
     tally = _Tally()
     for n in range(1, max_n + 1):
         for lam in partitions_of(n):
@@ -634,8 +609,9 @@ def _try_rank(lam, k, m):
 # ---------------------------------------------------------------------------
 
 
-def involution_suite(max_n: int = 24, max_k: int = 4) -> list[CheckResult]:
+def involution_suite() -> list[CheckResult]:
     """Generalized conjugation: involution, statistic swap, width preservation."""
+    max_n, max_k = 24, 4
     tally = _Tally()
     for n in range(max_n + 1):
         for lam in partitions_of(n):
@@ -664,13 +640,9 @@ def involution_suite(max_n: int = 24, max_k: int = 4) -> list[CheckResult]:
     return tally.results("involution")
 
 
-def dyson_suite(
-    max_n: int = 18,
-    max_k: int = 3,
-    ms: tuple[int, ...] = (-2, -1, 0, 1),
-    rs: tuple[int, ...] = (-1, 0, 1, 2),
-) -> list[CheckResult]:
+def dyson_suite() -> list[CheckResult]:
     """The m-shift map: round trips, image contract, domain/codomain match."""
+    max_n, max_k, ms, rs = 18, 3, (-2, -1, 0, 1), (-1, 0, 1, 2)
     tally = _Tally()
     stats_cache: dict = {}
 
@@ -759,7 +731,8 @@ def dyson_suite(
 # ---------------------------------------------------------------------------
 
 
-def census_invariants(max_n: int = 22, max_k: int = 3, max_r: int = 8) -> list[CheckResult]:
+def census_invariants() -> list[CheckResult]:
+    max_n, max_k, max_r = 22, 3, 8
     tally = _Tally()
     pt = p_table(max_n + max_r + max_k * 3 + 6)
     qt = {k: q_table(k, max_n) for k in range(max_k)}
@@ -806,8 +779,9 @@ def census_invariants(max_n: int = 22, max_k: int = 3, max_r: int = 8) -> list[C
     return tally.results("census")
 
 
-def equidistribution_suite(max_n: int = 22, max_k: int = 3) -> list[CheckResult]:
+def equidistribution_suite() -> list[CheckResult]:
     """Joint (widths, a, b) distribution: (k,0)-rank vs Garvan's statistic."""
+    max_n, max_k = 22, 3
     tally = _Tally()
     for k in range(1, max_k + 1):
         for n in range(max_n + 1):
@@ -833,12 +807,8 @@ def equidistribution_suite(max_n: int = 22, max_k: int = 3) -> list[CheckResult]
 # ---------------------------------------------------------------------------
 
 
-def qseries_suite(
-    schur_order: int = 60,
-    andrews_order: int = 50,
-    jacobi_order: int = 100,
-    census_order: int = 22,
-) -> list[CheckResult]:
+def qseries_suite() -> list[CheckResult]:
+    schur_order, andrews_order, jacobi_order, census_order = 60, 50, 100, 22
     out = []
     rep = verify_identity("pentagonal", schur_order)
     out.append(_check("identity: pentagonal", rep.ok, str(rep.mismatch)))
@@ -929,16 +899,16 @@ def _qseries_example_checks() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 SUITES = {
-    "golden": lambda: golden_examples(),
-    "partition": lambda: partition_invariants(),
-    "decomposition": lambda: decomposition_invariants(),
-    "selection": lambda: selection_invariants(),
-    "rank": lambda: rank_invariants(),
-    "involution": lambda: involution_suite(),
-    "dyson": lambda: dyson_suite(),
-    "census": lambda: census_invariants(),
-    "equidistribution": lambda: equidistribution_suite(),
-    "qseries": lambda: qseries_suite(),
+    "golden": golden_examples,
+    "partition": partition_invariants,
+    "decomposition": decomposition_invariants,
+    "selection": selection_invariants,
+    "rank": rank_invariants,
+    "involution": involution_suite,
+    "dyson": dyson_suite,
+    "census": census_invariants,
+    "equidistribution": equidistribution_suite,
+    "qseries": qseries_suite,
 }
 
 

@@ -1,75 +1,33 @@
-"""Acceptance gate: one test per criterion, each printing a pass/fail line.
+"""Acceptance gate: every selftest suite, each printing a pass/fail line.
 
 Every check is exact (integer equality); the printed timings document the
 runtime targets.  Run with ``pytest tests/test_acceptance.py -v -s`` to see
-the per-criterion lines, or via the CLI as ``durfee selftest``.
+the per-suite lines, or via the CLI as ``durfee selftest``.
 """
 
 import time
 
+import pytest
+
 from durfee import selftest
 
 
-def _run(criterion: str, results) -> None:
+def _results(name: str):
+    if name == "selection":
+        # the acceptance floor: size <= 14, bounds <= 4, k <= 3, a <= A+8
+        return selftest.selection_invariants(max_total=14, extra=8)
+    return selftest.SUITES[name]()
+
+
+@pytest.mark.parametrize("name", list(selftest.SUITES))
+def test_suite(name):
+    t0 = time.monotonic()
+    results = _results(name)
+    elapsed = time.monotonic() - t0
     bad = [r for r in results if not r.ok]
-    line = f"{'PASS' if not bad else 'FAIL'} {criterion} ({len(results)} checks)"
-    print(line)
+    print(f"{'PASS' if not bad else 'FAIL'} {name} ({len(results)} checks) [{elapsed:.2f}s]")
     for r in bad[:10]:
         print(f"  failed: {r.name}: {r.detail}")
-    assert not bad, f"{criterion}: {len(bad)} failed, first: {bad[0].name} {bad[0].detail}"
-
-
-def test_criterion_1_golden_examples():
-    t0 = time.monotonic()
-    results = selftest.golden_examples()
-    elapsed = time.monotonic() - t0
-    _run(f"criterion 1: golden examples [{elapsed:.2f}s]", results)
-    assert elapsed < 1.0, f"golden examples took {elapsed:.2f}s, limit is 1s"
-
-
-def test_criterion_2_involution_suite():
-    t0 = time.monotonic()
-    results = selftest.involution_suite(max_n=24, max_k=4)
-    _run(f"criterion 2: conjugation involution n<=24 k<=4 "
-         f"[{time.monotonic() - t0:.1f}s]", results)
-
-
-def test_criterion_3_dyson_map_suite():
-    t0 = time.monotonic()
-    results = selftest.dyson_suite(
-        max_n=18, max_k=3, ms=(-2, -1, 0, 1), rs=(-1, 0, 1, 2)
-    )
-    _run(f"criterion 3: m-shift map n<=18 k<=3 m in -2..1 r in -1..2 "
-         f"[{time.monotonic() - t0:.1f}s]", results)
-
-
-def test_criterion_4_selection_insertion_laws():
-    t0 = time.monotonic()
-    results = selftest.selection_invariants(
-        max_total=14, max_bound=4, max_k=3, extra=8
-    )
-    _run(f"criterion 4: selection/insertion laws size<=14 p<=4 a<=A+8 "
-         f"[{time.monotonic() - t0:.1f}s]", results)
-
-
-def test_criterion_5_census_symmetries():
-    t0 = time.monotonic()
-    results = selftest.census_invariants(max_n=22, max_k=3, max_r=8)
-    _run(f"criterion 5: census observations and symmetries n<=22 k<=3 "
-         f"[{time.monotonic() - t0:.1f}s]", results)
-
-
-def test_criterion_6_identity_verification():
-    t0 = time.monotonic()
-    results = selftest.qseries_suite(
-        schur_order=60, andrews_order=50, jacobi_order=100, census_order=22
-    )
-    _run(f"criterion 6: identity verification T=60/50/100/22 "
-         f"[{time.monotonic() - t0:.1f}s]", results)
-
-
-def test_criterion_7_equidistribution():
-    t0 = time.monotonic()
-    results = selftest.equidistribution_suite(max_n=22, max_k=3)
-    _run(f"criterion 7: rank equidistribution n<=22 k<=3 "
-         f"[{time.monotonic() - t0:.1f}s]", results)
+    assert not bad, f"{name}: {len(bad)} failed, first: {bad[0].name} {bad[0].detail}"
+    if name == "golden":
+        assert elapsed < 1.0, f"golden examples took {elapsed:.2f}s, limit is 1s"

@@ -2,7 +2,6 @@ import pytest
 
 from durfee import (
     Partition,
-    durfee_square_widths,
     dyson_map,
     dyson_rank,
     gen_conjugate,
@@ -20,13 +19,6 @@ from durfee.errors import (
 )
 
 P = Partition
-
-
-def try_rank(lam, k, m):
-    try:
-        return rank_km(lam, k, m)
-    except NoSuchDecomposition:
-        return None
 
 
 def test_dyson_map_examples():
@@ -72,26 +64,6 @@ def test_gen_conjugate_requires_squares():
         gen_conjugate(P([2, 1]), 3)
 
 
-def test_gen_conjugate_k1_is_conjugation():
-    for n in range(1, 16):
-        for lam in partitions_of(n):
-            assert gen_conjugate(lam, 1) == lam.conjugate()
-
-
-def test_gen_conjugate_involution_small():
-    for n in range(17):
-        for lam in partitions_of(n):
-            squares = durfee_square_widths(lam)
-            for k in range(1, min(3, len(squares)) + 1):
-                st = rank_km(lam, k, 0)
-                mu = gen_conjugate(lam, k)
-                st2 = rank_km(mu, k, 0)
-                assert mu.size == lam.size
-                assert st2.widths == st.widths
-                assert (st2.a, st2.b) == (st.b, st.a)
-                assert gen_conjugate(mu, k) == lam
-
-
 def test_gen_dyson_worked_example():
     lam = P([10, 8, 8, 6, 5, 3, 3, 2, 2, 2, 1, 1, 1])
     mu = gen_dyson(lam, 2, 0, 0)
@@ -134,32 +106,3 @@ def test_gen_dyson_inverse_rejects_unreachable_images():
     # would need a width-1 rectangle of height 0, which does not exist
     with pytest.raises(InvalidDecomposition):
         gen_dyson_inverse(P([3]), 1, -1, 0)
-
-
-def test_gen_dyson_round_trip_small():
-    for n in range(13):
-        for lam in partitions_of(n):
-            for k in (1, 2):
-                for m in (-2, -1, 0, 1):
-                    st = try_rank(lam, k, m)
-                    if st is None or 0 in st.widths:
-                        continue
-                    for r in (-1, 0, 1, 2):
-                        if st.r > -r:
-                            continue
-                        mu = gen_dyson(lam, k, m, r)
-                        assert mu.size == n - r - k * (m + 1)
-                        assert gen_dyson_inverse(mu, k, m, r) == lam
-
-
-def test_gen_dyson_k1_is_classic_map():
-    for n in range(1, 14):
-        for lam in partitions_of(n):
-            for m in (-1, 0, 1):
-                st = try_rank(lam, 1, m)
-                if st is None or 0 in st.widths:
-                    continue
-                for r in (-1, 0, 1):
-                    if st.r > -r:
-                        continue
-                    assert gen_dyson(lam, 1, m, r) == dyson_map(lam, -r - m)

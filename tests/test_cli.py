@@ -140,7 +140,7 @@ def test_domain_errors_exit_3(capsys):
 def test_selftest_golden_suite(capsys):
     code, out, _ = run(capsys, "selftest", "--suite", "golden")
     assert code == 0
-    assert "PASS" in out and "FAIL" not in out
+    assert out == (GOLDEN / "selftest_golden.txt").read_text()
 
 
 def test_selftest_json(capsys):

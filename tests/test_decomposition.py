@@ -96,40 +96,12 @@ def test_profile_examples():
     assert profile(decompose(P([9, 8, 8, 6, 5, 4, 3, 2, 2, 2, 1, 1, 1, 1, 1]), 2, 0)) == (3,)
 
 
-def test_round_trip_exhaustive_small():
-    for n in range(15):
-        for lam in partitions_of(n):
-            for m in (-1, 0, 1, 2):
-                for k in (1, 2, 3):
-                    try:
-                        d = decompose(lam, k, m)
-                    except NoSuchDecomposition:
-                        assert m <= 0
-                        continue
-                    assert compose(d) == lam
-
-
 def test_matches_classical_squares():
     for n in range(15):
         for lam in partitions_of(n):
             squares = durfee_square_widths(lam)
             for k in range(1, len(squares) + 1):
                 assert decompose(lam, k, 0).widths == squares[:k]
-
-
-def test_monotone_nesting():
-    for n in range(13):
-        for lam in partitions_of(n):
-            for m in (0, 1, 2):
-                prev = None
-                for k in (1, 2, 3):
-                    try:
-                        d = decompose(lam, k, m)
-                    except NoSuchDecomposition:
-                        break
-                    if prev is not None:
-                        assert d.widths[: k - 1] == prev
-                    prev = d.widths
 
 
 def test_json_round_trip():

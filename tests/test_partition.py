@@ -109,12 +109,6 @@ def test_enumerate_is_reverse_lexicographic_and_complete():
             assert all(a >= b for a, b in zip(t, t[1:]))
 
 
-def test_p_table_against_enumeration():
-    pt = p_table(20)
-    for n in range(21):
-        assert pt[n] == len(partitions_of(n))
-
-
 def test_p_table_examples():
     assert p_table(5) == [1, 1, 2, 3, 5, 7]
     assert p_table(0) == [1]

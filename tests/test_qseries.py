@@ -106,10 +106,6 @@ def test_rr_product_against_counting_oracle():
         assert s2.coeffs[n] == residue_count_oracle({2, 3}, 5, n)
 
 
-def test_rr_product_k1_empty():
-    assert rr_product(1, 1, 20) == QSeries.one(20)
-
-
 def test_jacobi_specialization_values():
     theta, prod = jacobi_specialization(1, 12)
     want = [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1]
@@ -119,12 +115,6 @@ def test_jacobi_specialization_values():
     want2 = [1, 0, -1, -1, 0, 0, 0, 0, 0, 1, 0, 1]
     assert list(theta2.coeffs) == want2
     assert theta2 == prod2
-
-
-def test_jacobi_equality_medium():
-    for k in range(1, 5):
-        theta, prod = jacobi_specialization(k, 60)
-        assert theta == prod
 
 
 def test_h_census_series_values():

@@ -120,27 +120,6 @@ def test_iterate_remove_matches_conjugation_columns():
     assert tuple(t for t in totals if t) == beta.conjugate().parts
 
 
-def test_removal_undoes_insertion_exhaustive_small():
-    for bounds in [(), (0,), (1,), (2,)]:
-        k = len(bounds) + 1
-        for s in _all_sequences(k, bounds, 6):
-            tr = select(s)
-            for a in range(tr.total, tr.total + 4):
-                out = insert(a, s)
-                tr2, back = remove_selected(out)
-                assert tr2.total == a
-                assert back.partitions == s.partitions
-
-
-def test_insertion_undoes_removal_exhaustive_small():
-    for bounds in [(), (1,), (2,)]:
-        k = len(bounds) + 1
-        for s in _all_sequences(k, bounds, 6):
-            tr, reduced = remove_selected(s)
-            assert select(reduced).total <= tr.total
-            assert insert(tr.total, reduced).partitions == s.partitions
-
-
 def test_selection_total_alone_does_not_determine_insertion():
     # inserting 1 into ((),(1)) with bound 2: both ((1),(1)) and ((),(1,1))
     # select total 1, but removing the selection of ((1),(1)) leaves
@@ -152,13 +131,6 @@ def test_selection_total_alone_does_not_determine_insertion():
     assert [p.parts for p in back.partitions] == [(1,), ()]
     out = insert(1, s)
     assert [p.parts for p in out.partitions] == [(), (1, 1)]
-
-
-def _all_sequences(k, bounds, max_total):
-    from durfee.selftest import _bounded_sequences
-
-    for tuples in _bounded_sequences(k, bounds, max_total):
-        yield PartitionSequence(tuple(P(t) for t in tuples), tuple(bounds))
 
 
 small_partition = st.lists(st.integers(1, 5), max_size=5).map(
