@@ -11,7 +11,8 @@ Insertion is the inverse: given a >= A (the current selection total), there
 is exactly one way to add one part (possibly of size zero) to every
 lambda^i so that the bounds still hold and the new selection total is a.
 The inserted parts are precisely the parts selected afterwards, which is
-why selection-plus-removal undoes insertion.
+why selection-plus-removal undoes insertion.  Insertion adds its cells in
+jumps (see ``insert``), so its cost does not depend on a.
 """
 
 from __future__ import annotations
@@ -115,46 +116,37 @@ def _base_insert_raw(seqs, rows, parts):
     return work
 
 
-def _unit_step_raw(work, bounds):
-    """Grow the inserted parts by one cell, preserving the insertion shape.
-
-    If the selection of lambda^1 sits at row 1, its first part grows.
-    Otherwise the first partition (smallest index) whose selected part is
-    strictly below its ceiling grows: the ceiling is the part directly
-    above, or p_i for a first-row selection with i >= 2.
-    """
-    rows, parts = _select_raw(work, bounds)
-    if rows[0] == 1:
-        if work[0]:
-            work[0][0] += 1
+def _grow_raw(work, bounds, cells):
+    """Add ``cells`` cells to the inserted parts in jumps (see ``insert``)."""
+    left = cells
+    while left > 0:
+        rows, parts = _select_raw(work, bounds)
+        if rows[0] == 1:
+            i, j, step = 0, 1, left
         else:
-            work[0].append(1)
-        return
-    for i in range(len(work)):
-        j = rows[i]
-        v = parts[i]
-        if j == 1:
-            # i == 0 was handled above, so bounds[i - 1] is in range
-            if v < bounds[i - 1]:
-                if work[i]:
-                    work[i][0] += 1
-                else:
-                    work[i].append(1)
-                return
+            for i, (j, v) in enumerate(zip(rows, parts)):
+                s = work[i]
+                # i == 0 was handled above, so bounds[i - 1] is in range
+                ceiling = bounds[i - 1] if j == 1 else s[j - 2] if j - 1 <= len(s) else 0
+                if v < ceiling:
+                    break
+            else:
+                raise InternalInvariantViolation(
+                    f"no partition can absorb another cell: parts {work}, "
+                    f"bounds {tuple(bounds)}, {left} of {cells} cells left"
+                )
+            step = min(left, ceiling - v) if i == 0 else 1
+        s = work[i]
+        if j <= len(s):
+            s[j - 1] += step
+        elif j == len(s) + 1:
+            s.append(step)
         else:
-            s = work[i]
-            above = s[j - 2] if j - 1 <= len(s) else 0
-            if v < above:
-                if j <= len(s):
-                    s[j - 1] += 1
-                else:
-                    if j != len(s) + 1:
-                        raise InternalInvariantViolation(
-                            "virtual selection grew past the first virtual row"
-                        )
-                    s.append(1)
-                return
-    raise InternalInvariantViolation("no partition can absorb another cell")
+            raise InternalInvariantViolation(
+                f"virtual selection at row {j} of partition {i + 1} grew past the first "
+                f"virtual row: parts {work}, bounds {tuple(bounds)}, {left} of {cells} cells left"
+            )
+        left -= step
 
 
 def _insert_raw(a, seqs, bounds):
@@ -163,8 +155,7 @@ def _insert_raw(a, seqs, bounds):
     if a < total:
         raise InsertionUnderflow(f"cannot insert {a} < selection total {total}")
     work = _base_insert_raw(seqs, rows, parts)
-    for _ in range(a - total):
-        _unit_step_raw(work, bounds)
+    _grow_raw(work, bounds, a - total)
     return [tuple(w) for w in work]
 
 
@@ -197,11 +188,20 @@ def remove_selected(seq: PartitionSequence) -> tuple[SelectionTrace, PartitionSe
 def insert(a: int, seq: PartitionSequence) -> PartitionSequence:
     """Insert a total of ``a`` cells, one new part per partition.
 
-    Requires a >= select(seq).total.  Starts by duplicating every selected
-    part directly above its row, then adds one cell at a time until the
-    selection total reaches ``a``; the result is the unique sequence with
-    that selection total obtainable by inserting one part into each
-    partition within the bounds.
+    Requires a >= A = select(seq).total.  The result is the unique sequence
+    with selection total ``a`` obtainable by inserting one part into each
+    partition within the bounds.  Each selected part is first duplicated
+    above its row; each further cell goes to the first part of lambda^1 if
+    its selection is at row 1, else to the first partition whose selected
+    part is below its ceiling (the part above it, or p_i at row 1).  A walk
+    places every cell that cannot change that choice.  It reads lambda^1
+    last, so growing lambda^1 moves no selected row: all remaining cells go
+    in at row 1, as many as fit under the ceiling at a lower row.  A cell at
+    a level i >= 2 goes in alone.  It lowers by one the row index the walk
+    moves to next, and parts at smaller indices are no smaller, so every
+    selected row of lambda^(i-1) .. lambda^1 moves up: rows[0] strictly
+    decreases.  As rows[0] <= 1 + sum(p_i), at most 2 * rows[0] + 2 walks of
+    k steps run: insertion costs O(k * (total size + sum(p_i))) for any a.
     """
     if a < 0:
         raise ValueError("insertion total must be non-negative")

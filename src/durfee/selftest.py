@@ -7,6 +7,7 @@ runs them all and exits non-zero on any failure.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import product
 
@@ -35,10 +36,10 @@ from .rank import dyson_rank, garvan_conjugate, garvan_rank, rank_km
 from .select_insert import (
     PartitionSequence,
     _base_insert_raw,
+    _grow_raw,
     _insert_raw,
     _remove_raw,
     _select_raw,
-    _unit_step_raw,
     insert,
     remove_selected,
     select,
@@ -65,10 +66,11 @@ class _Tally:
         self.counts: Counter = Counter()
         self.failures: dict[str, str] = {}
 
-    def add(self, law: str, ok: bool, detail: str = "") -> None:
+    def add(self, law: str, ok: bool, detail: str | Callable[[], str] = "") -> None:
+        """Count one instance; a callable ``detail`` is called on failure only."""
         self.counts[law] += 1
         if not ok and law not in self.failures:
-            self.failures[law] = detail
+            self.failures[law] = detail() if callable(detail) else detail
 
     def results(self, prefix: str) -> list[CheckResult]:
         out = []
@@ -435,11 +437,15 @@ def selection_invariants(max_total: int = 16, extra: int = 10) -> list[CheckResu
     for k in range(1, max_k + 1):
         for bounds in product(range(max_bound + 1), repeat=k - 1):
             candidates = [(sum(t), t) for t in product(*[range(c + 1) for c in bounds])]
+            # the screened tails depend on lambda^2..lambda^k only
+            tails: dict = {}
             for seqs in _bounded_sequences(k, bounds, max_total):
                 seen += 1
-                _check_sequence(tally, seqs, bounds, extra, candidates)
+                if seqs[1:] not in tails:
+                    tails[seqs[1:]] = _valid_tails(seqs, bounds, candidates)
+                steps = _check_sequence(tally, seqs, bounds, extra, tails[seqs[1:]])
                 if seen % spot_every == 0:
-                    _spot_check_public(tally, seqs, bounds, extra)
+                    _spot_check_public(tally, seqs, bounds, steps)
     return tally.results("selection")
 
 
@@ -461,11 +467,15 @@ def _bounded_sequences(k: int, bounds, max_total: int):
     yield from rec(0, max_total, ())
 
 
-def _check_sequence(tally: _Tally, seqs, bounds, extra: int, candidates) -> None:
+def _check_sequence(tally: _Tally, seqs, bounds, extra: int, tails) -> list:
+    """Check the laws on one sequence; returns the inserted sequence per a."""
     lseqs = list(seqs)
     rows, parts = _select_raw(lseqs, bounds)
     A = sum(parts)
-    where = f"seq={seqs} p={bounds}"
+
+    def where(*more: str) -> str:
+        # formatted only for a failing check: the passing ones are most of the run
+        return " ".join((f"seq={seqs} p={bounds}",) + more)
 
     reduced = _remove_raw(lseqs, rows)
     rrows, rparts = _select_raw(reduced, bounds)
@@ -478,21 +488,22 @@ def _check_sequence(tally: _Tally, seqs, bounds, extra: int, candidates) -> None
     back = _insert_raw(A, reduced, bounds)
     tally.add("insert undoes removal", back == lseqs, where)
 
-    tails = _valid_tails(seqs, bounds, candidates)
     first = seqs[0]
 
     # incremental insertion: one cell at a time from a = A to A + extra
     work = _base_insert_raw(lseqs, rows, parts)
+    steps = []
     for a in range(A, A + extra + 1):
         if a > A:
-            _unit_step_raw(work, bounds)
+            _grow_raw(work, bounds, 1)
         mu = [tuple(w) for w in work]
+        steps.append(mu)
         mrows, mparts = _select_raw(mu, bounds)
-        tally.add("inserted sequence selects total a", sum(mparts) == a, f"{where} a={a}")
+        tally.add("inserted sequence selects total a", sum(mparts) == a, lambda: where(f"a={a}"))
         tally.add(
             "removal undoes insertion",
             _remove_raw(mu, mrows) == lseqs,
-            f"{where} a={a}",
+            lambda: where(f"a={a}"),
         )
         # uniqueness: among all ways of inserting one part into each
         # partition within the bounds, exactly one candidate both selects
@@ -516,12 +527,20 @@ def _check_sequence(tally: _Tally, seqs, bounds, extra: int, candidates) -> None
         tally.add(
             "unique valid insertion",
             matches == 1 and unique_ok,
-            f"{where} a={a} matches={matches}",
+            lambda: where(f"a={a}", f"matches={matches}"),
         )
 
+    jump = _base_insert_raw(lseqs, rows, parts)
+    _grow_raw(jump, bounds, extra)
+    tally.add("one jump equals unit steps", jump == work, lambda: where(f"a={A + extra}"))
+    return steps
 
-def _spot_check_public(tally: _Tally, seqs, bounds, extra: int) -> None:
-    """Tie the raw helpers to the public API on a sampled sequence."""
+
+def _spot_check_public(tally: _Tally, seqs, bounds, steps) -> None:
+    """Tie the raw helpers to the public API on a sampled sequence.
+
+    ``steps[e]`` is the sequence built by e single-cell steps.
+    """
     seq = PartitionSequence(tuple(P._fromparts(t) for t in seqs), tuple(bounds))
     tr = select(seq)
     rows, parts = _select_raw(list(seqs), bounds)
@@ -530,7 +549,13 @@ def _spot_check_public(tally: _Tally, seqs, bounds, extra: int) -> None:
         tr.rows == tuple(rows) and tr.parts == tuple(parts),
         f"{seqs} {bounds}",
     )
-    a = tr.total + extra
+    for e, mu in enumerate(steps):
+        tally.add(
+            "one jump equals unit steps",
+            _insert_raw(tr.total + e, list(seqs), bounds) == mu,
+            f"{seqs} {bounds} a={tr.total + e}",
+        )
+    a = tr.total + len(steps) - 1
     via_public = insert(a, seq)
     via_raw = _insert_raw(a, list(seqs), bounds)
     tally.add(

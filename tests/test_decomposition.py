@@ -15,28 +15,11 @@ P = Partition
 BIG = P([7, 7, 6, 6, 5, 4, 3, 3, 3, 2, 1, 1, 1, 1, 1])
 
 
-def test_decompose_square_widths():
-    assert decompose(BIG, 3, 0).widths == (5, 3, 2)
-
-
-def test_decompose_one_rectangles():
-    # rows 6..9 are (4,3,3,3), wide enough for a width-3 rectangle of
-    # height 4, so the greedy second width is 3
-    assert decompose(BIG, 3, 1).widths == (4, 3, 1)
-
-
 def test_decompose_empty_positive_m():
     d = decompose(P([]), 3, 1)
     assert d.widths == (0, 0, 0)
     assert all(not s for s in d.sides)
     assert not d.below
-
-
-def test_decompose_k2_example():
-    d = decompose(P([9, 8, 8, 6, 5, 4, 3, 2, 2, 2, 1, 1, 1, 1, 1]), 2, 0)
-    assert d.widths == (5, 2)
-    assert d.sides == (P([4, 3, 3, 1]), P([2, 1]))
-    assert d.below == P([2, 2, 2, 1, 1, 1, 1, 1])
 
 
 def test_decompose_missing_rectangle():
@@ -51,13 +34,6 @@ def test_decompose_missing_rectangle():
 def test_compose_round_trip_example():
     d = decompose(BIG, 3, 0)
     assert compose(d) == BIG
-
-
-def test_compose_known_assembly():
-    d = DurfeeDecomposition(
-        0, 2, (5, 2), (P([5, 4, 3, 2]), P([3, 1])), P([2, 2, 1, 1, 1])
-    )
-    assert compose(d) == P([10, 9, 8, 7, 5, 5, 3, 2, 2, 1, 1, 1])
 
 
 def test_compose_trivial_zero_width():
