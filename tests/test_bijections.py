@@ -21,6 +21,9 @@ P = Partition
 
 
 def test_dyson_map_examples():
+    lam = P([4, 3, 3, 2, 2, 1])
+    assert dyson_map(lam, -2) == P([3, 3, 2, 2, 1, 1])
+    assert dyson_map(lam, 1) == P([6, 3, 2, 2, 1, 1])
     assert dyson_map(P([1]), 0) == P([])
 
 

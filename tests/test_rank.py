@@ -22,6 +22,20 @@ def test_dyson_rank_examples():
         dyson_rank(P([]))
 
 
+def test_rank_km_squares():
+    st = rank_km(BIG, 3, 0)
+    assert (st.a, st.b, st.r) == (4, 5, -1)
+    assert st.widths == (5, 3, 2)
+
+
+def test_rank_km_one_rectangles():
+    st = rank_km(BIG, 3, 1)
+    assert st.widths == (4, 3, 1)
+    assert st.a == 3
+    # the below-partition is the four rows under the third rectangle
+    assert (st.b, st.r) == (4, -1)
+
+
 def test_rank_km_empty_partition():
     st = rank_km(P([]), 2, 1)
     assert (st.a, st.b, st.r) == (0, 0, 0)
