@@ -50,7 +50,7 @@ class UnsupportedRegion(DurfeeError):
 
 
 class ImpracticalOrder(DurfeeError):
-    """A census-backed series was requested at an order too costly to enumerate."""
+    """A census series was requested at an order too costly to compute."""
 
 
 class InternalInvariantViolation(DurfeeError):

@@ -5,8 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ImpracticalOrder, UnknownIdentity, UnsupportedRegion
-from .partition import p_table
+from .errors import UnknownIdentity, UnsupportedRegion
 
 
 class QSeries:
@@ -280,18 +279,15 @@ def h_census_series(k: int, m: int, r: int, mode: str, order: int) -> QSeries:
     """Generating function of rank-census counts, one coefficient per n.
 
     mode 'le' counts partitions with (k,m)-rank <= r, mode 'ge' with
-    rank >= r.  Backed by exhaustive enumeration, so the order is capped.
+    rank >= r.  Read off the census engine's bivariate rank series, which
+    raises ImpracticalOrder above ``census.MAX_SERIES_COST`` coefficient
+    additions: beyond order 630 for k = 1 and 760 for k = 3 (about 1 s).
     """
-    from .census import h_count  # census imports q_table from here
+    from .census import _h, _rank_series  # census imports q_table from here
 
     if mode not in ("le", "ge"):
         raise ValueError("mode must be 'le' or 'ge'")
-    cost = sum(p_table(order))
-    if cost > 2_000_000:
-        raise ImpracticalOrder(
-            f"order {order} needs {cost} partition enumerations; refusing"
-        )
-    return QSeries([h_count(n, k, m, r, mode) for n in range(order + 1)], order)
+    return QSeries([_h(c, r, mode) for c in _rank_series(k, m, order)], order)
 
 
 def _h_closed_form(k: int, m: int, r: int, order: int) -> QSeries:

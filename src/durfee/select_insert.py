@@ -116,11 +116,15 @@ def _base_insert_raw(seqs, rows, parts):
     return work
 
 
-def _grow_raw(work, bounds, cells):
-    """Add ``cells`` cells to the inserted parts in jumps (see ``insert``)."""
+def _grow_raw(work, bounds, cells, selected=None):
+    """Add ``cells`` cells to the inserted parts in jumps (see ``insert``).
+
+    ``selected`` is ``_select_raw(work, bounds)``, if the caller has it.
+    """
     left = cells
     while left > 0:
-        rows, parts = _select_raw(work, bounds)
+        rows, parts = selected or _select_raw(work, bounds)
+        selected = None
         if rows[0] == 1:
             i, j, step = 0, 1, left
         else:

@@ -495,7 +495,7 @@ def _check_sequence(tally: _Tally, seqs, bounds, extra: int, tails) -> list:
     steps = []
     for a in range(A, A + extra + 1):
         if a > A:
-            _grow_raw(work, bounds, 1)
+            _grow_raw(work, bounds, 1, (mrows, mparts))
         mu = [tuple(w) for w in work]
         steps.append(mu)
         mrows, mparts = _select_raw(mu, bounds)
@@ -756,9 +756,28 @@ def dyson_suite() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
+def _enumerated_census(n: int, k: int, m: int) -> Counter:
+    """Rank census by ranking every partition of n: the oracle of the engine."""
+    counts: Counter = Counter()
+    for lam in partitions_of(n):
+        st = _try_rank(lam, k, m)
+        if st is not None:
+            counts[st.r] += 1
+    return counts
+
+
 def census_invariants() -> list[CheckResult]:
-    max_n, max_k, max_r = 22, 3, 8
+    max_n, max_k, max_r, oracle_ms = 22, 3, 8, (-2, -1, 0, 1, 2)
     tally = _Tally()
+    for k in range(1, max_k + 1):
+        for m in oracle_ms:
+            for n in range(max_n + 1):
+                tally.add(
+                    "census engine equals enumeration",
+                    rank_census(n, k, m) == _enumerated_census(n, k, m),
+                    f"n={n} k={k} m={m}",
+                )
+    # the symmetry laws below read the engine the law above ties to partitions
     pt = p_table(max_n + max_r + max_k * 3 + 6)
     qt = {k: q_table(k, max_n) for k in range(max_k)}
     for k in range(1, max_k + 1):
@@ -833,7 +852,9 @@ def equidistribution_suite() -> list[CheckResult]:
 
 
 def qseries_suite() -> list[CheckResult]:
-    schur_order, andrews_order, jacobi_order, census_order = 60, 50, 100, 22
+    schur_order, andrews_order, jacobi_order = 60, 50, 100
+    # order 22 is where the census suite ties the engine to enumeration
+    census_order, lifted_order = 22, 200
     out = []
     rep = verify_identity("pentagonal", schur_order)
     out.append(_check("identity: pentagonal", rep.ok, str(rep.mismatch)))
@@ -849,12 +870,17 @@ def qseries_suite() -> list[CheckResult]:
     for k in range(1, 6):
         rep = verify_identity("jacobi", jacobi_order, k=k)
         out.append(_check(f"identity: jacobi k={k}", rep.ok, str(rep.mismatch)))
-    for k in range(1, 4):
-        for m, r in [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]:
-            rep = verify_identity("h_closed_form", census_order, k=k, m=m, r=r)
-            out.append(
-                _check(f"identity: h_closed_form k={k} m={m} r={r}", rep.ok, str(rep.mismatch))
-            )
+    for order, suffix in ((census_order, ""), (lifted_order, f" order={lifted_order}")):
+        for k in range(1, 4):
+            for m, r in [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]:
+                rep = verify_identity("h_closed_form", order, k=k, m=m, r=r)
+                out.append(
+                    _check(
+                        f"identity: h_closed_form k={k} m={m} r={r}{suffix}",
+                        rep.ok,
+                        str(rep.mismatch),
+                    )
+                )
     out.extend(_qseries_example_checks())
     return out
 

@@ -1,7 +1,11 @@
+import time
+
 import pytest
 
 from durfee import census, h_count, p_table, q_table
 from durfee.census import rank_census
+from durfee.errors import ImpracticalOrder
+from durfee.selftest import _enumerated_census
 
 
 def test_census_classic_ranks_n4():
@@ -61,3 +65,26 @@ def test_half_line_shift_fails_below_m0():
     assert lhs == 2
     assert rhs == 3
     assert lhs != rhs
+
+
+@pytest.mark.parametrize(
+    "n,k,m", [(26, 4, 3), (26, 4, -3), (25, 5, 3), (26, 5, -3), (24, 4, 0), (23, 5, 1)]
+)
+def test_engine_matches_enumeration_beyond_suite_range(n, k, m):
+    # the census suite compares the engines for k <= 3 and m in -2..2
+    assert rank_census(n, k, m) == _enumerated_census(n, k, m)
+
+
+def test_census_n60_is_fast():
+    # 966,467 partitions of 60: about 40 s by enumeration
+    start = time.perf_counter()
+    total = census(60, 2, 0).total
+    elapsed = time.perf_counter() - start
+    assert total == p_table(60)[60] - q_table(1, 60)[60]
+    assert elapsed < 1.0, elapsed
+
+
+def test_census_refuses_orders_past_the_cap():
+    # enumeration would not finish; the engine refuses before computing
+    with pytest.raises(ImpracticalOrder):
+        census(5000, 1, 0)

@@ -131,8 +131,12 @@ def test_h_census_series_values():
 def test_h_census_series_guards():
     with pytest.raises(ValueError):
         h_census_series(1, 0, 0, "<=", 5)
-    with pytest.raises(ImpracticalOrder):
-        h_census_series(1, 0, 0, "le", 70)
+    with pytest.raises(ImpracticalOrder):  # the cap is order 630 for k = 1
+        h_census_series(1, 0, 0, "le", 700)
+    le = h_census_series(1, 0, 0, "le", 200)
+    ge = h_census_series(1, 0, 1, "ge", 200)
+    assert le.order == 200
+    assert le.coeffs[200] + ge.coeffs[200] == p_table(200)[200]
 
 
 def test_verify_identity_reports():
