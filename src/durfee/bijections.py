@@ -56,7 +56,9 @@ def gen_conjugate(lam: Partition, k: int) -> Partition:
     for j in range(n_k, 0, -1):
         col = alpha_cols[j - 1] if j <= len(alpha_cols) else 0
         if col < select(cur).total:
-            raise InternalInvariantViolation("column insertion order broke a >= A")
+            raise InternalInvariantViolation(
+                f"column insertion order broke a >= A: {lam.text()}, k={k}, m=0"
+            )
         cur = insert(col, cur)
 
     beta_cols = tuple(t for t in totals if t > 0)
@@ -86,7 +88,9 @@ def gen_dyson(lam: Partition, k: int, m: int, r: int) -> Partition:
     new_widths = tuple(w - 1 for w in d.widths)
     for w in new_widths:
         if w + (m + 2) < 1:
-            raise InternalInvariantViolation("image rectangle would have height < 1")
+            raise InternalInvariantViolation(
+                f"image rectangle would have height < 1: {lam.text()}, k={k}, m={m}, r={r}"
+            )
     return compose(
         DurfeeDecomposition(m + 2, k, new_widths, new_sides.partitions, beta)
     )
@@ -113,9 +117,15 @@ def gen_dyson_inverse(mu: Partition, k: int, m: int, r: int) -> Partition:
     t = stats.a + r
     trace, residue = remove_selected(PartitionSequence(d.sides, profile(d)))
     if trace.total != stats.a:
-        raise InternalInvariantViolation("removal total disagrees with selection total")
+        raise InternalInvariantViolation(
+            f"removal total {trace.total} disagrees with selection total {stats.a}: "
+            f"{mu.text()}, k={k}, m={m}, r={r}"
+        )
     if len(d.below) > t:
-        raise InternalInvariantViolation("below-partition taller than restored column")
+        raise InternalInvariantViolation(
+            f"below-partition taller than restored column of {t}: "
+            f"{mu.text()}, k={k}, m={m}, r={r}"
+        )
     alpha = Partition._fromparts(
         tuple(x + 1 for x in d.below.parts) + (1,) * (t - len(d.below))
     )

@@ -11,15 +11,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+from operator import add, sub
 
-from .errors import ImpracticalOrder, InternalInvariantViolation
+from .errors import InternalInvariantViolation
 from .partition import p_table
-from .qseries import _times_geometric, q_table
-
-# Largest series the engine computes, in coefficient additions (about 1 s
-# and 40 MB on a 2-core VM): order 630 for k = 1, 760 for k = 3.
-MAX_SERIES_COST = 20_000_000
+from .qseries import MAX_SERIES_COST, _durfee_levels, _refuse_above_cap, q_table
 
 # census and h_count of n read the series to n rounded up to this step, so
 # a sweep over n computes one series per (k, m) and step.
@@ -112,25 +108,24 @@ def _rank_series(k: int, m: int, order: int) -> tuple[Counter, ...]:
 
     Terms are grouped by w = N_k.  The univariate factor of w is H_k(w),
     where H_1(v) = q^(v(v+m)) and H_i(v) = q^(v(v+m)) sum_{u >= v}
-    H_{i-1}(u) / (q)_{u-v}; Horner over w from the widest down adds the
+    H_{i-1}(u) / (q)_{u-v}: the level recursion ``qseries._durfee_levels``
+    that ``multisum_lhs`` also runs.  Horner over w from the widest down adds the
     z-kernel acc = H_k(w) + acc / ((1 - z q^(w+1+m)) (1 - q^(w+1)/z)), and
     one last pass applies 1/((zq)_{w+m} (q/z)_w) at the narrowest w.
+    For m >= 0 every row total is checked against p(n), less q_{k-1}(n) at
+    m = 0 (partitions with at most k - 1 Durfee squares have no k
+    0-rectangles), and a mismatch raises InternalInvariantViolation.
     Raises ImpracticalOrder when ``_series_cost`` exceeds MAX_SERIES_COST.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if order < 0:
         raise ValueError("order must be non-negative")
-    cost = _series_cost(k, m, order)
-    if cost > MAX_SERIES_COST:
-        raise ImpracticalOrder(
-            f"rank series k={k} m={m} to order {order} needs {cost} coefficient "
-            f"additions (cap {MAX_SERIES_COST}); refusing"
-        )
+    _refuse_above_cap(_series_cost(k, m, order), f"rank series k={k} m={m} to order {order}")
     low, top = _widths(k, m, order)
     rows = [[0] * (2 * n + 1) for n in range(order + 1)]
     if k * low * (low + m) <= order:
-        u_terms = _univariate_terms(k, m, order, low, top)
+        u_terms = _durfee_levels(k, lambda j, v: v * (v + m), low, top, order)
         for w in range(top, low - 1, -1):
             if w < top:
                 _times_z_geometric(rows, w + 1 + m, 1)
@@ -142,32 +137,18 @@ def _rank_series(k: int, m: int, order: int) -> tuple[Counter, ...]:
             _times_z_geometric(rows, s, 1)
         for s in range(1, min(low, order) + 1):
             _times_z_geometric(rows, s, -1)
+    if m >= 0:
+        expect = p_table(order)
+        if m == 0:
+            expect = list(map(sub, expect, q_table(k - 1, order)))
+        for n, (row, want) in enumerate(zip(rows, expect)):
+            if sum(row) != want:
+                raise InternalInvariantViolation(
+                    f"census total {sum(row)} != expected {want} for n={n}, k={k}, m={m}"
+                )
     return tuple(
         Counter({i - n: c for i, c in enumerate(row) if c}) for n, row in enumerate(rows)
     )
-
-
-def _univariate_terms(k: int, m: int, order: int, low: int, top: int) -> list[list[int]]:
-    """H_k(w) for w = low..top, truncated at q^order."""
-    vmax = _widths(1, m, order)[1]
-    h = []
-    for v in range(low, vmax + 1):
-        cs = [0] * (order + 1)
-        cs[v * (v + m)] = 1
-        h.append(cs)
-    for _ in range(k - 1):
-        nxt = []
-        for v in range(low, vmax + 1):
-            # sum_{u >= v} H(u)/(q)_{u-v} by Horner over u, widest first
-            acc = [0] * (order + 1)
-            for u in range(vmax, v - 1, -1):
-                if u < vmax:
-                    _times_geometric(acc, u - v + 1)
-                acc = list(map(add, acc, h[u - low]))
-            e = v * (v + m)
-            nxt.append([0] * e + acc[: order + 1 - e])
-        h = nxt
-    return h[: top - low + 1]
 
 
 def _rank_counts(n: int, k: int, m: int) -> Counter:
@@ -192,23 +173,15 @@ def rank_census(n: int, k: int, m: int) -> Counter:
 
 
 def census(n: int, k: int, m: int = 0) -> CensusTable:
-    """Full rank census; total is p(n) for m > 0 and p(n) - q_{k-1}(n) for m = 0."""
+    """Full rank census; total is p(n) for m > 0 and p(n) - q_{k-1}(n) for m = 0.
+
+    ``_rank_series`` checks those totals for every n of each series it computes.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
     if k < 1:
         raise ValueError("k must be positive")
-    table = CensusTable(n, k, m, dict(_rank_counts(n, k, m)))
-    if m > 0:
-        expect = p_table(n)[n]
-    elif m == 0:
-        expect = p_table(n)[n] - q_table(k - 1, n)[n]
-    else:
-        expect = None
-    if expect is not None and table.total != expect:
-        raise InternalInvariantViolation(
-            f"census total {table.total} != expected {expect} for n={n}, k={k}, m={m}"
-        )
-    return table
+    return CensusTable(n, k, m, dict(_rank_counts(n, k, m)))
 
 
 def h_count(n: int, k: int, m: int, r: int, mode: str) -> int:

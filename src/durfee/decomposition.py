@@ -88,7 +88,10 @@ def decompose(lam: Partition, k: int, m: int) -> DurfeeDecomposition:
         for j in range(start + 1, offsets[i] + 1):
             v = (ps[j - 1] if j <= ell else 0) - w
             if v < 0:
-                raise InternalInvariantViolation("rectangle row narrower than its width")
+                raise InternalInvariantViolation(
+                    f"row {j} of rectangle {i + 1} is narrower than its width {w}: "
+                    f"{lam.text()}, k={k}, m={m}"
+                )
             if v > 0:
                 rows.append(v)
         sides.append(Partition._fromparts(tuple(rows)))
@@ -98,9 +101,14 @@ def decompose(lam: Partition, k: int, m: int) -> DurfeeDecomposition:
     # bound checks: guaranteed by maximality of the greedy widths
     for i in range(1, k):
         if sides[i].largest > widths[i - 1] - widths[i]:
-            raise InternalInvariantViolation("side partition exceeds its width gap")
+            raise InternalInvariantViolation(
+                f"side partition {i + 1} exceeds its width gap "
+                f"{widths[i - 1] - widths[i]}: {lam.text()}, k={k}, m={m}"
+            )
     if below.largest > widths[-1]:
-        raise InternalInvariantViolation("below-partition wider than last rectangle")
+        raise InternalInvariantViolation(
+            f"below-partition wider than last rectangle: {lam.text()}, k={k}, m={m}"
+        )
     return d
 
 

@@ -50,7 +50,12 @@ class UnsupportedRegion(DurfeeError):
 
 
 class ImpracticalOrder(DurfeeError):
-    """A census series was requested at an order too costly to compute."""
+    """A series was requested at an order too costly to compute.
+
+    Raised before any work when the estimated cost passes
+    ``qseries.MAX_SERIES_COST``: by the census engine, by ``multisum_lhs``
+    and by ``verify_identity``.
+    """
 
 
 class InternalInvariantViolation(DurfeeError):

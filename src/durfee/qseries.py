@@ -4,8 +4,17 @@ coefficient-level verification of the partition identities."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from math import isqrt
+from operator import add, sub
 
-from .errors import UnknownIdentity, UnsupportedRegion
+from .errors import ImpracticalOrder, UnknownIdentity, UnsupportedRegion
+from .partition import p_table
+
+# Largest series computation accepted, in coefficient additions (about 1 s
+# and 40 MB on a 2-core VM).  The census engine, multisum_lhs and
+# verify_identity all refuse past it with ImpracticalOrder.
+MAX_SERIES_COST = 20_000_000
 
 
 class QSeries:
@@ -96,30 +105,59 @@ class QSeries:
         return f"QSeries([{shown}{tail}], order={self.order})"
 
 
-def _mul(a, b, T: int):
-    out = [0] * (T + 1)
-    for i, ai in enumerate(a):
-        if i > T:
-            break
-        if ai == 0:
-            continue
-        top = T - i
-        for j, bj in enumerate(b[: top + 1]):
-            if bj:
-                out[i + j] += ai * bj
-    return out
+def _mul(a, b, T: int) -> list[int]:
+    """Coefficients 0..T of the product of the coefficient lists a and b.
+
+    Kronecker substitution: each operand becomes one integer with a byte
+    slot per coefficient, wide enough that every product coefficient c
+    satisfies |c| < 2^(w-1) for a slot of w bits (w >= bits(max|a|) +
+    bits(max|b|) + bits(min length) + 1).  Negative coefficients pack as
+    the positive part minus the negative part.  One big-integer multiply
+    forms every convolution at once; adding 2^(w-1) to each of the T + 1
+    low slots makes them non-negative, so a mask and one ``to_bytes`` give
+    the coefficients back.  Exact for any integers.
+    """
+    a, b = a[: T + 1], b[: T + 1]
+    amax = max(map(abs, a), default=0)
+    bmax = max(map(abs, b), default=0)
+    if not amax or not bmax:
+        return [0] * (T + 1)
+    bits = amax.bit_length() + bmax.bit_length() + min(len(a), len(b)).bit_length() + 1
+    width = (bits + 7) // 8
+    slots = width * (T + 1)
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * (T + 1), "little")
+    product = (_pack(a, width) * _pack(b, width) + bias) & ((1 << (8 * slots)) - 1)
+    raw = product.to_bytes(slots, "little")
+    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, slots, width)]
+
+
+def _pack(cs, width: int) -> int:
+    # sum of cs[i] * 256^(width i) for signed cs, each |cs[i]| < 256^width
+    pos = int.from_bytes(b"".join([max(c, 0).to_bytes(width, "little") for c in cs]), "little")
+    if min(cs) >= 0:
+        return pos
+    return pos - int.from_bytes(
+        b"".join([max(-c, 0).to_bytes(width, "little") for c in cs]), "little"
+    )
 
 
 def _times_one_minus(cs: list[int], n: int) -> None:
     # in place multiply by (1 - q^n)
-    for i in range(len(cs) - 1, n - 1, -1):
-        cs[i] -= cs[i - n]
+    if n < len(cs):
+        cs[n:] = map(sub, cs[n:], cs[:-n])
 
 
 def _times_geometric(cs: list[int], n: int) -> None:
-    # in place multiply by 1/(1 - q^n) = 1 + q^n + q^2n + ...
-    for i in range(n, len(cs)):
-        cs[i] += cs[i - n]
+    # in place multiply by 1/(1 - q^n) = 1 + q^n + q^2n + ...: a running sum
+    # along each residue class mod n, or block by block when blocks are long
+    size = len(cs)
+    if n * n < size:
+        for r in range(n):
+            cs[r::n] = accumulate(cs[r::n])
+    else:
+        for i in range(n, size, n):
+            cs[i : i + n] = map(add, cs[i : i + n], cs[i - n : i])
 
 
 def pochhammer(n: int | None, order: int) -> QSeries:
@@ -135,12 +173,74 @@ def pochhammer(n: int | None, order: int) -> QSeries:
 
 
 def inv_euler(order: int) -> QSeries:
-    """1/(q)_infinity: the coefficient of q^n is p(n)."""
-    cs = [0] * (order + 1)
-    cs[0] = 1
-    for i in range(1, order + 1):
-        _times_geometric(cs, i)
-    return QSeries(cs, order)
+    """1/(q)_infinity: the coefficient of q^n is p(n).
+
+    Read off ``p_table``, Euler's pentagonal recurrence, in O(order^1.5).
+    """
+    return QSeries(p_table(order), order)
+
+
+def _durfee_levels(k: int, exponent, low: int, top: int, order: int) -> list[list[int]]:
+    """H_k(v) truncated at q^order, for the widths v = low..top whose series
+    is not zero there.
+
+    H_1(v) = q^e(1,v) and H_j(v) = q^e(j,v) sum_{u >= v} H_{j-1}(u) / (q)_{u-v},
+    with e = ``exponent``, increasing in v and e(j, 0) = 0.  This is Andrews'
+    Durfee dissection (Amer. J. Math. 1979) level by level: v is the width
+    of the j-th square or rectangle, u that of the one above it, and
+    1/(q)_{u-v} the side between them.  Each sum is Horner over u, widest
+    first: acc = H_{j-1}(u) + acc / (1 - q^(u-v+1)).  A series is kept from
+    its lowest exponent up, which is e(1,v) + ... + e(j,v), so a width dies
+    once that passes the order.  Once width 0 is the only one left, every
+    further level leaves it unchanged, so the recursion stops there and its
+    cost stops growing with k (``_levels_cost`` counts it for the multisum).
+    """
+    # (lowest exponent, coefficients from there on; missing ones up to q^order are 0)
+    h = []
+    v = low
+    while (e := exponent(1, v)) <= order:
+        h.append((e, [1]))
+        v += 1
+    for j in range(2, k + 1):
+        if not h or (low == 0 and len(h) == 1):
+            break
+        widest = low + len(h) - 1
+        nxt = []
+        for v in range(low, (widest if j < k else min(widest, top)) + 1):
+            base, cs = h[-1]
+            acc = cs + [0] * (order + 1 - base - len(cs))
+            for u in range(widest - 1, v - 1, -1):
+                _times_geometric(acc, u - v + 1)
+                lowest, cs = h[u - low]
+                d = base - lowest
+                acc = cs[:d] + [0] * (d - len(cs)) + acc
+                acc[d : len(cs)] = map(add, acc[d : len(cs)], cs[d:])
+                base = lowest
+            base += exponent(j, v)
+            if base > order:
+                break
+            del acc[order + 1 - base :]
+            nxt.append((base, acc))
+        h = nxt
+    return [[0] * base + cs + [0] * (order + 1 - base - len(cs)) for base, cs in h[: top - low + 1]]
+
+
+def _levels_cost(k: int, order: int) -> int:
+    """Coefficient additions ``_durfee_levels`` makes for ``multisum_lhs``.
+
+    Level j keeps the widths v with j v^2 <= order.  For each it runs one
+    Horner step per wider u of the level below, two passes over the
+    order + 1 - (j-1) u^2 coefficients that series still holds.  Stops
+    adding once past MAX_SERIES_COST, so a huge order is refused at once.
+    """
+    cost = 0
+    for j in range(2, min(k, order + 2) + 1):
+        below = isqrt(order // (j - 1))
+        for v in range(isqrt(order // j) + 1 if j < k else 1):
+            cost += 2 * sum(order + 1 - (j - 1) * u * u for u in range(v + 1, below + 1))
+            if cost > MAX_SERIES_COST:
+                return cost
+    return cost
 
 
 def multisum_lhs(k: int, a_shift: int | None, order: int) -> QSeries:
@@ -149,35 +249,24 @@ def multisum_lhs(k: int, a_shift: int | None, order: int) -> QSeries:
     Sums q^(N_1^2+...+N_{k-1}^2 [+ N_a+...+N_{k-1}]) / ((q)_{n_1}...(q)_{n_{k-1}})
     over n_j >= 0, where N_j = n_j + ... + n_{k-1}.  Without the shift this
     generates partitions with at most k-1 Durfee squares; k=1 gives 1.
+
+    Computed as H_k(0) of ``_durfee_levels`` with e_j(v) = v^2 + v [j >= a]:
+    v is N_j and 1/(q)_{u-v} is 1/(q)_{n_j}.  Level j holds the widths with
+    j v^2 <= order, about sqrt(order/j) of them, so the cost is
+    O(order^2 log order) for any k.  Raises ImpracticalOrder above
+    MAX_SERIES_COST coefficient additions: past order 2247 for large k,
+    later for small k.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if a_shift is not None and not 1 <= a_shift <= k:
         raise ValueError(f"a_shift must be in 1..{k}")
-    if k == 1:
-        return QSeries.one(order)
-    acc = [0] * (order + 1)
-    # depth-first over weakly decreasing tuples N_{k-1} <= ... <= N_1, built
-    # bottom-up; a tuple dies as soon as its exponent passes the order
-    stack = [(k - 1, 0, 0, ())]
-    while stack:
-        pos, lower, exponent, widths = stack.pop()
-        if pos == 0:
-            term = _term_product(widths, order - exponent)
-            for i, c in enumerate(term):
-                if c:
-                    acc[exponent + i] += c
-            continue
-        N = lower
-        while True:
-            e = exponent + N * N
-            if a_shift is not None and pos >= a_shift:
-                e += N
-            if e > order:
-                break
-            stack.append((pos - 1, N, e, widths + (N,)))
-            N += 1
-    return QSeries(acc, order)
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    _refuse_above_cap(_levels_cost(k, order), f"multisum k={k} to order {order}")
+    shift = k if a_shift is None else a_shift
+    levels = _durfee_levels(k, lambda j, v: v * v + (v if j >= shift else 0), 0, 0, order)
+    return QSeries(levels[0], order)
 
 
 def q_table(k: int, N: int) -> list[int]:
@@ -193,28 +282,11 @@ def q_table(k: int, N: int) -> list[int]:
     return list(multisum_lhs(k + 1, None, N).coeffs)
 
 
-def _term_product(widths_bottom_up: tuple[int, ...], limit: int) -> list[int]:
-    """Product of 1/(q)_{n_j} for the factor sizes derived from widths.
-
-    ``widths_bottom_up`` lists N_{k-1}, ..., N_1; n_j = N_j - N_{j+1} with
-    N_k = 0, so the differences of consecutive entries (and the first entry
-    itself) are the n_j.
-    """
-    if limit < 0:
-        return []
-    ns = []
-    prev = 0
-    for N in widths_bottom_up:
-        ns.append(N - prev)
-        prev = N
-    out = [0] * (limit + 1)
-    out[0] = 1
-    for n in ns:
-        if n == 0:
-            continue
-        for i in range(1, min(n, limit) + 1):
-            _times_geometric(out, i)
-    return out
+def _refuse_above_cap(cost: int, what: str) -> None:
+    if cost > MAX_SERIES_COST:
+        raise ImpracticalOrder(
+            f"{what} needs {cost} coefficient additions (cap {MAX_SERIES_COST}); refusing"
+        )
 
 
 def _theta(k: int, order: int) -> QSeries:
@@ -280,7 +352,7 @@ def h_census_series(k: int, m: int, r: int, mode: str, order: int) -> QSeries:
 
     mode 'le' counts partitions with (k,m)-rank <= r, mode 'ge' with
     rank >= r.  Read off the census engine's bivariate rank series, which
-    raises ImpracticalOrder above ``census.MAX_SERIES_COST`` coefficient
+    raises ImpracticalOrder above ``MAX_SERIES_COST`` coefficient
     additions: beyond order 630 for k = 1 and 760 for k = 3 (about 1 s).
     """
     from .census import _h, _rank_series  # census imports q_table from here
@@ -346,12 +418,22 @@ def verify_identity(
 
     Names: pentagonal; schur(k); rr(k); andrews(k, a); jacobi(k);
     h_closed_form(k, m, r) with m >= 0 and r >= 1, or m = r = 0.
+    Pentagonal compares the product (q)_inf with its theta sum, so it does
+    not lean on ``p_table``, which is that same identity as a recurrence.
+    Raises ImpracticalOrder when the estimated cost of a side passes
+    MAX_SERIES_COST: every order up to 2000 is accepted, whatever k
+    (h_closed_form keeps the lower cap of the census engine).
     """
     if order < 0:
         raise ValueError("order must be non-negative")
+    if name not in IDENTITIES:
+        raise UnknownIdentity(f"unknown identity {name!r}; known: {', '.join(IDENTITIES)}")
+    # a product side takes at most one pass per factor (1 - q^n)^(+-1), n <= order;
+    # multisum_lhs guards the sum side itself
+    _refuse_above_cap(order * (order + 1) // 2, f"verify {name} to order {order}")
     if name == "pentagonal":
         params = {}
-        lhs, rhs = schur_rhs(1, order), QSeries.one(order)
+        lhs, rhs = pochhammer(None, order), _theta(1, order)
     elif name == "schur":
         k = _need(name, "k", k)
         params = {"k": k}
@@ -369,7 +451,7 @@ def verify_identity(
         k = _need(name, "k", k)
         params = {"k": k}
         lhs, rhs = jacobi_specialization(k, order)
-    elif name == "h_closed_form":
+    else:
         k = _need(name, "k", k)
         m = _need(name, "m", m)
         r = _need(name, "r", r)
@@ -380,8 +462,6 @@ def verify_identity(
             )
         lhs = h_census_series(k, m, -r, "le", order)
         rhs = _h_closed_form(k, m, r, order)
-    else:
-        raise UnknownIdentity(f"unknown identity {name!r}; known: {', '.join(IDENTITIES)}")
     mismatch = _first_mismatch(lhs, rhs)
     return VerificationReport(name, params, order, mismatch is None, mismatch)
 

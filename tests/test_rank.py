@@ -11,7 +11,6 @@ from durfee import (
 from durfee.errors import EmptyPartition, NoSuchDecomposition
 
 P = Partition
-BIG = P([7, 7, 6, 6, 5, 4, 3, 3, 3, 2, 1, 1, 1, 1, 1])
 
 
 def test_dyson_rank_examples():
@@ -20,20 +19,6 @@ def test_dyson_rank_examples():
     assert dyson_rank(P([2, 2])) == 0
     with pytest.raises(EmptyPartition):
         dyson_rank(P([]))
-
-
-def test_rank_km_squares():
-    st = rank_km(BIG, 3, 0)
-    assert (st.a, st.b, st.r) == (4, 5, -1)
-    assert st.widths == (5, 3, 2)
-
-
-def test_rank_km_one_rectangles():
-    st = rank_km(BIG, 3, 1)
-    assert st.widths == (4, 3, 1)
-    assert st.a == 3
-    # the below-partition is the four rows under the third rectangle
-    assert (st.b, st.r) == (4, -1)
 
 
 def test_rank_km_empty_partition():

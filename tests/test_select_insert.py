@@ -36,19 +36,6 @@ def test_select_empty_sequence():
     assert tr.total == 0
 
 
-def test_select_four_partition_example():
-    tr = select(seq([[5, 3, 2, 1, 1], [4, 2, 2], [2, 2, 1], [2, 1]], [4, 2, 3]))
-    assert tr.parts == (1, 2, 2, 2)
-    assert tr.total == 7
-
-
-def test_select_five_partition_example():
-    tr = select(seq([[3, 2, 2, 1, 1], [2, 1], [], [], [6]], [2, 0, 2, 6]))
-    assert tr.rows == (5, 3, 3, 1, 1)
-    assert tr.parts == (1, 0, 0, 0, 6)
-    assert tr.total == 7
-
-
 def test_remove_selected_steps():
     tr, rest = remove_selected(seq([[4, 3, 3, 1], [2, 1]], [3]))
     assert tr.total == 5
@@ -69,15 +56,6 @@ def test_insert_examples():
     assert [p.parts for p in out.partitions] == [(4, 3, 2), (1,)]
     out = insert(8, seq([[4, 3, 2], [1]], [3]))
     assert [p.parts for p in out.partitions] == [(5, 4, 3, 2), (3, 1)]
-
-
-def test_insert_exact_total_duplicates_selected_parts():
-    s = seq([[5, 3, 2, 1, 1], [4, 2, 2], [2, 2, 1], [2, 1]], [4, 2, 3])
-    tr = select(s)
-    out = insert(tr.total, s)
-    for lam, new, v in zip(s.partitions, out.partitions, tr.parts):
-        expected = tuple(sorted(lam.parts + ((v,) if v else ()), reverse=True))
-        assert new.parts == expected
 
 
 def test_insert_huge_total():
