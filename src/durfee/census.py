@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, sub
 
-from .errors import InternalInvariantViolation
+from .errors import ImpracticalOrder, InternalInvariantViolation
 from .partition import p_table
-from .qseries import MAX_SERIES_COST, _durfee_levels, _refuse_above_cap, q_table
+from .qseries import MAX_SERIES_COST, _durfee_levels, _levels_cost, _refuse_above_cap, q_table
 
 # census and h_count of n read the series to n rounded up to this step, so
 # a sweep over n computes one series per (k, m) and step.
@@ -45,29 +45,23 @@ class CensusTable:
         }
 
 
-def _widths(k: int, m: int, order: int) -> tuple[int, int]:
-    """Smallest and largest N_k of a term below q^(order+1)."""
-    low = w = max(0, 1 - m)
-    while k * (w + 1) * (w + 1 + m) <= order:
-        w += 1
-    return low, w
-
-
 def _series_cost(k: int, m: int, order: int) -> int:
-    """Coefficient additions ``_rank_series(k, m, order)`` performs.
+    """Coefficient additions ``_rank_series(k, m, order)`` makes.
 
-    Each of the k - 1 univariate levels runs at most V^2 passes of order + 1
-    coefficients, for the V possible widths.  Each pass of a
-    1/(1 - z^(+-1) q^s) factor touches about (order+1)^2 cells (row n holds
-    the 2n+1 ranks -n..n); there are two passes per N_k above the
-    narrowest, and N_k + m + N_k more (at most 2 order) for it.
+    The levels cost what ``_levels_cost`` counts.  A pass of
+    1/(1 - z^(+-1) q^s) adds row n - s into row n for every n >= s,
+    (order + 1 - s)^2 additions: two per width above the narrowest, then the
+    last ones.  The (order + 1)^2 cells of the rows, all that is built when
+    no width survives k levels, refuse a huge order before any width is
+    counted.
     """
-    low, top = _widths(k, m, order)
-    if k * low * (low + m) > order:
-        return 0
-    span = _widths(1, m, order)[1] - low + 1
-    passes = 2 * (top - low) + min(low + m, order) + min(low, order)
-    return (order + 1) * ((k - 1) * span * span + (order + 1) * passes)
+    low = max(0, 1 - m)
+    if k * low * (low + m) > order or (order + 1) ** 2 > MAX_SERIES_COST:
+        return (order + 1) ** 2
+    levels, widths = _levels_cost(k, lambda j, v: v * (v + m), low, order, order)
+    shifts = [s for w in range(low, low + widths - 1) for s in (w + 1 + m, w + 1)]
+    shifts += [*range(1, min(low + m, order) + 1), *range(1, min(low, order) + 1)]
+    return levels + sum((order + 1 - s) ** 2 for s in shifts if s <= order)
 
 
 def _times_z_geometric(rows: list[list[int]], s: int, dz: int) -> None:
@@ -81,20 +75,22 @@ def _times_z_geometric(rows: list[list[int]], s: int, dz: int) -> None:
         dst[shift:end] = map(add, dst[shift:end], src)
 
 
-# Bounded: an order-200 entry holds about 40k counts (3 MB).  32 entries hold
+# Bounded in entries, not bytes (sizes in the docstring).  32 entries hold
 # every (k, m) the census suite touches (k <= 3, m in -2..4) at one order.
 @lru_cache(maxsize=32)
-def _rank_series(k: int, m: int, order: int) -> tuple[Counter, ...]:
-    """Counter of (k,m)-rank values for every n <= order.
+def _rank_series(k: int, m: int, order: int) -> tuple[tuple[int, ...], ...]:
+    """Counts of (k,m)-rank values for every n <= order; one entry holds
+    14.6 MB by tracemalloc at k = 1, order 600, and 26 MB at k = 3, order 792.
 
-    The coefficient of q^n z^r in
+    Row n holds the ranks -n..n, rank r at index n + r: the coefficient of
+    q^n z^r in
 
         sum_{N_1 >= ... >= N_k >= max(0, 1-m)} q^(sum N_i (N_i + m))
             * prod_{s=N_k+m+1}^{N_1+m} 1/(1 - q^s)
             * prod_{i=2..k} [N_{i-1} - N_i + N_i + m choose N_i + m]_q
             * 1 / ((zq)_{N_k+m} (q/z)_{N_k})
 
-    is taken as the number of partitions of n with k successive
+    taken as the number of partitions of n with k successive
     m-rectangles and (k,m)-rank r.  At z = 1 it is Andrews' Durfee
     dissection (Amer. J. Math. 1979): q^(N_i (N_i + m)) per rectangle,
     1/(q)_{N_1+m} for lambda^1, an (N_i + m) x (N_{i-1} - N_i) box per
@@ -122,17 +118,17 @@ def _rank_series(k: int, m: int, order: int) -> tuple[Counter, ...]:
     if order < 0:
         raise ValueError("order must be non-negative")
     _refuse_above_cap(_series_cost(k, m, order), f"rank series k={k} m={m} to order {order}")
-    low, top = _widths(k, m, order)
+    low = max(0, 1 - m)
     rows = [[0] * (2 * n + 1) for n in range(order + 1)]
-    if k * low * (low + m) <= order:
-        u_terms = _durfee_levels(k, lambda j, v: v * (v + m), low, top, order)
-        for w in range(top, low - 1, -1):
-            if w < top:
-                _times_z_geometric(rows, w + 1 + m, 1)
-                _times_z_geometric(rows, w + 1, -1)
+    if k * low * (low + m) <= order:  # else no width survives k levels
+        u_terms = _durfee_levels(k, lambda j, v: v * (v + m), low, order, order)
+        for w in range(low + len(u_terms) - 1, low - 1, -1):
             for n, c in enumerate(u_terms[w - low]):
                 if c:
                     rows[n][n] += c
+            if w > low:
+                _times_z_geometric(rows, w + m, 1)
+                _times_z_geometric(rows, w, -1)
         for s in range(1, min(low + m, order) + 1):
             _times_z_geometric(rows, s, 1)
         for s in range(1, min(low, order) + 1):
@@ -146,21 +142,18 @@ def _rank_series(k: int, m: int, order: int) -> tuple[Counter, ...]:
                 raise InternalInvariantViolation(
                     f"census total {sum(row)} != expected {want} for n={n}, k={k}, m={m}"
                 )
-    return tuple(
-        Counter({i - n: c for i, c in enumerate(row) if c}) for n, row in enumerate(rows)
-    )
+    return tuple(map(tuple, rows))
 
 
-def _rank_counts(n: int, k: int, m: int) -> Counter:
-    """Shared (cached) Counter of rank values for n; callers must not modify it."""
+def _rank_row(n: int, k: int, m: int) -> tuple[int, ...]:
+    """Counts of the ranks -n..n for n, rank r at index n + r (cached, shared)."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    if k < 1:
-        raise ValueError("k must be positive")
-    order = -(-max(n, 1) // _ORDER_STEP) * _ORDER_STEP
-    if _series_cost(k, m, order) > MAX_SERIES_COST:
-        order = n  # padding must not push an n below the cap over it
-    return _rank_series(k, m, order)[n]
+    try:
+        series = _rank_series(k, m, -(-max(n, 1) // _ORDER_STEP) * _ORDER_STEP)
+    except ImpracticalOrder:
+        series = _rank_series(k, m, n)  # padding must not push an n below the cap over it
+    return series[n]
 
 
 def rank_census(n: int, k: int, m: int) -> Counter:
@@ -169,7 +162,7 @@ def rank_census(n: int, k: int, m: int) -> Counter:
     Partitions without k successive m-rectangles (possible for m <= 0) are
     skipped.  Each call returns a fresh Counter the caller may modify.
     """
-    return Counter(_rank_counts(n, k, m))
+    return Counter(census(n, k, m).rows)
 
 
 def census(n: int, k: int, m: int = 0) -> CensusTable:
@@ -177,11 +170,7 @@ def census(n: int, k: int, m: int = 0) -> CensusTable:
 
     ``_rank_series`` checks those totals for every n of each series it computes.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if k < 1:
-        raise ValueError("k must be positive")
-    return CensusTable(n, k, m, dict(_rank_counts(n, k, m)))
+    return CensusTable(n, k, m, {r: c for r, c in enumerate(_rank_row(n, k, m), -n) if c})
 
 
 def h_count(n: int, k: int, m: int, r: int, mode: str) -> int:
@@ -190,12 +179,14 @@ def h_count(n: int, k: int, m: int, r: int, mode: str) -> int:
         raise ValueError(f"mode must be 'le', 'ge' or 'eq', got {mode!r}")
     if n < 0:
         return 0
-    return _h(_rank_counts(n, k, m), r, mode)
+    return _h(_rank_row(n, k, m), r, mode)
 
 
-def _h(counts: Counter, r: int, mode: str) -> int:
+def _h(row: tuple[int, ...], r: int, mode: str) -> int:
+    # a rank outside -n..n clamps to an end of the row: a negative bound would wrap
+    i = len(row) // 2 + r
     if mode == "le":
-        return sum(v for key, v in counts.items() if key <= r)
+        return sum(row[: max(0, i + 1)])
     if mode == "ge":
-        return sum(v for key, v in counts.items() if key >= r)
-    return counts.get(r, 0)
+        return sum(row[max(0, i) :])
+    return row[i] if 0 <= i < len(row) else 0

@@ -13,12 +13,11 @@ import sys
 
 from .bijections import gen_conjugate, gen_dyson, gen_dyson_inverse
 from .census import census
-from .decomposition import decompose, profile
+from .decomposition import decompose
 from .errors import DurfeeError
 from .partition import Partition
 from .qseries import IDENTITIES, verify_identity
-from .rank import garvan_rank, rank_km
-from .select_insert import PartitionSequence, select
+from .rank import _rank_km_full, garvan_rank, rank_km
 
 USAGE_EXIT = 1
 MISMATCH_EXIT = 2
@@ -116,12 +115,11 @@ def _cmd_rank(args) -> int:
             doc = st.to_json_dict(args.k, None)
             doc["statistic"] = "garvan"
         else:
-            st = rank_km(lam, args.k, args.m)
+            st, _, trace = _rank_km_full(lam, args.k, args.m)
             doc = st.to_json_dict(args.k, args.m)
             doc["statistic"] = "km"
-        if args.trace and not args.garvan:
-            d = decompose(lam, args.k, args.m)
-            doc["trace"] = select(PartitionSequence(d.sides, profile(d))).to_json_dict()
+            if args.trace:
+                doc["trace"] = trace.to_json_dict()
         print(json.dumps(doc, sort_keys=True))
     return 0
 

@@ -85,8 +85,18 @@ def decompose(lam: Partition, k: int, m: int) -> DurfeeDecomposition:
     for i in range(k):
         w = widths[i]
         rows = []
-        for j in range(start + 1, offsets[i] + 1):
-            v = (ps[j - 1] if j <= ell else 0) - w
+        end = offsets[i]
+        # rows past the last part must lie in width-0 rectangles and add
+        # nothing, so the walk over all rectangles is O(ell) whatever m
+        if end > ell:
+            if w:
+                raise InternalInvariantViolation(
+                    f"rectangle {i + 1} of width {w} runs past the last part: "
+                    f"{lam.text()}, k={k}, m={m}"
+                )
+            end = ell
+        for j in range(start + 1, end + 1):
+            v = ps[j - 1] - w
             if v < 0:
                 raise InternalInvariantViolation(
                     f"row {j} of rectangle {i + 1} is narrower than its width {w}: "
@@ -123,11 +133,9 @@ def compose(d: DurfeeDecomposition) -> Partition:
     for i in range(d.k):
         w = d.widths[i]
         side = d.sides[i].parts
-        height = w + d.m
-        for j in range(height):
-            v = w + (side[j] if j < len(side) else 0)
-            if v > 0:
-                rows.append(v)
+        # a width-0 rectangle adds only its side's rows, whatever m
+        for j in range(w + d.m if w else len(side)):
+            rows.append(w + (side[j] if j < len(side) else 0))
     rows.extend(d.below.parts)
     for a, b in zip(rows, rows[1:]):
         if a < b:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import isqrt
 from operator import add, sub
 
 from .errors import ImpracticalOrder, UnknownIdentity, UnsupportedRegion
@@ -193,20 +192,21 @@ def _durfee_levels(k: int, exponent, low: int, top: int, order: int) -> list[lis
     its lowest exponent up, which is e(1,v) + ... + e(j,v), so a width dies
     once that passes the order.  Once width 0 is the only one left, every
     further level leaves it unchanged, so the recursion stops there and its
-    cost stops growing with k (``_levels_cost`` counts it for the multisum).
+    cost stops growing with k.  ``_levels_cost`` counts its additions.
     """
     # (lowest exponent, coefficients from there on; missing ones up to q^order are 0)
     h = []
-    v = low
-    while (e := exponent(1, v)) <= order:
+    while (e := exponent(1, low + len(h))) <= order:
         h.append((e, [1]))
-        v += 1
     for j in range(2, k + 1):
         if not h or (low == 0 and len(h) == 1):
             break
         widest = low + len(h) - 1
         nxt = []
         for v in range(low, (widest if j < k else min(widest, top)) + 1):
+            start = h[v - low][0] + exponent(j, v)
+            if start > order:
+                break
             base, cs = h[-1]
             acc = cs + [0] * (order + 1 - base - len(cs))
             for u in range(widest - 1, v - 1, -1):
@@ -216,31 +216,39 @@ def _durfee_levels(k: int, exponent, low: int, top: int, order: int) -> list[lis
                 acc = cs[:d] + [0] * (d - len(cs)) + acc
                 acc[d : len(cs)] = map(add, acc[d : len(cs)], cs[d:])
                 base = lowest
-            base += exponent(j, v)
-            if base > order:
-                break
-            del acc[order + 1 - base :]
-            nxt.append((base, acc))
+            del acc[order + 1 - start :]
+            nxt.append((start, acc))
         h = nxt
     return [[0] * base + cs + [0] * (order + 1 - base - len(cs)) for base, cs in h[: top - low + 1]]
 
 
-def _levels_cost(k: int, order: int) -> int:
-    """Coefficient additions ``_durfee_levels`` makes for ``multisum_lhs``.
-
-    Level j keeps the widths v with j v^2 <= order.  For each it runs one
-    Horner step per wider u of the level below, two passes over the
-    order + 1 - (j-1) u^2 coefficients that series still holds.  Stops
-    adding once past MAX_SERIES_COST, so a huge order is refused at once.
+def _levels_cost(k: int, exponent, low: int, top: int, order: int) -> tuple[int, int]:
+    """Coefficient additions ``_durfee_levels`` makes with these arguments,
+    and how many series it returns: its loops, run on (lowest exponent,
+    length) pairs.  A pass of 1/(1 - q^s) over L coefficients makes L - s
+    additions, and adding H_{j-1}(u) to acc one per coefficient they share.
+    Stops once past MAX_SERIES_COST.
     """
+    h = []
+    while (e := exponent(1, low + len(h))) <= order:
+        h.append((e, 1))
     cost = 0
-    for j in range(2, min(k, order + 2) + 1):
-        below = isqrt(order // (j - 1))
-        for v in range(isqrt(order // j) + 1 if j < k else 1):
-            cost += 2 * sum(order + 1 - (j - 1) * u * u for u in range(v + 1, below + 1))
-            if cost > MAX_SERIES_COST:
-                return cost
-    return cost
+    for j in range(2, k + 1):
+        if not h or (low == 0 and len(h) == 1):
+            break
+        widest = low + len(h) - 1
+        nxt = []
+        for v in range(low, (widest if j < k else min(widest, top)) + 1):
+            start = h[v - low][0] + exponent(j, v)
+            if start > order or cost > MAX_SERIES_COST:
+                break
+            for u in range(widest - 1, v - 1, -1):
+                lowest, length = h[u - low]
+                d = h[u + 1 - low][0] - lowest
+                cost += max(0, order + 1 - lowest - d - (u - v + 1)) + max(0, length - d)
+            nxt.append((start, order + 1 - start))
+        h = nxt
+    return cost, len(h[: top - low + 1])
 
 
 def multisum_lhs(k: int, a_shift: int | None, order: int) -> QSeries:
@@ -254,7 +262,7 @@ def multisum_lhs(k: int, a_shift: int | None, order: int) -> QSeries:
     v is N_j and 1/(q)_{u-v} is 1/(q)_{n_j}.  Level j holds the widths with
     j v^2 <= order, about sqrt(order/j) of them, so the cost is
     O(order^2 log order) for any k.  Raises ImpracticalOrder above
-    MAX_SERIES_COST coefficient additions: past order 2247 for large k,
+    MAX_SERIES_COST coefficient additions: past order 2317 for large k,
     later for small k.
     """
     if k < 1:
@@ -263,10 +271,10 @@ def multisum_lhs(k: int, a_shift: int | None, order: int) -> QSeries:
         raise ValueError(f"a_shift must be in 1..{k}")
     if order < 0:
         raise ValueError("order must be non-negative")
-    _refuse_above_cap(_levels_cost(k, order), f"multisum k={k} to order {order}")
     shift = k if a_shift is None else a_shift
-    levels = _durfee_levels(k, lambda j, v: v * v + (v if j >= shift else 0), 0, 0, order)
-    return QSeries(levels[0], order)
+    levels = (k, lambda j, v: v * v + (v if j >= shift else 0), 0, 0, order)
+    _refuse_above_cap(_levels_cost(*levels)[0], f"multisum k={k} to order {order}")
+    return QSeries(_durfee_levels(*levels)[0], order)
 
 
 def q_table(k: int, N: int) -> list[int]:
@@ -352,14 +360,14 @@ def h_census_series(k: int, m: int, r: int, mode: str, order: int) -> QSeries:
 
     mode 'le' counts partitions with (k,m)-rank <= r, mode 'ge' with
     rank >= r.  Read off the census engine's bivariate rank series, which
-    raises ImpracticalOrder above ``MAX_SERIES_COST`` coefficient
-    additions: beyond order 630 for k = 1 and 760 for k = 3 (about 1 s).
+    raises ImpracticalOrder above ``MAX_SERIES_COST`` coefficient additions
+    (about 1 s): beyond order 644 for k = 1 and 792 for k = 3 at m = 0.
     """
     from .census import _h, _rank_series  # census imports q_table from here
 
     if mode not in ("le", "ge"):
         raise ValueError("mode must be 'le' or 'ge'")
-    return QSeries([_h(c, r, mode) for c in _rank_series(k, m, order)], order)
+    return QSeries([_h(row, r, mode) for row in _rank_series(k, m, order)], order)
 
 
 def _h_closed_form(k: int, m: int, r: int, order: int) -> QSeries:

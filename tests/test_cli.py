@@ -1,11 +1,18 @@
+import contextlib
+import importlib
+import io
 import json
 import os
 import subprocess
 import sys
+from datetime import timedelta
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from durfee import cli
-from durfee.qseries import VerificationReport
+from durfee.qseries import IDENTITIES, VerificationReport
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -164,3 +171,72 @@ def test_cli_import_leaves_selftest_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "False"
+
+
+def _small_or(big):
+    return st.one_of(st.integers(-3, 40), big)
+
+
+# one partition text in ten is malformed
+_PARTITION = st.integers(0, 9).flatmap(
+    lambda i: st.sampled_from(["1,x", "0", "3,5", ""]) if i == 0 else
+    st.lists(st.integers(1, 12), max_size=12).map(
+        lambda ps: ",".join(map(str, sorted(ps, reverse=True))) or "-"
+    )
+)
+_K = _small_or(st.integers(-2, 10**5))
+_M = _small_or(st.integers(-(10**12), 10**12))
+# a huge r asks dyson --inverse for a partition with that many parts, and so
+# does a huge positive m (each rectangle gets w + 1 + m rows): real output
+# sizes, out of scope here
+_R = st.integers(-6, 6)
+_M_INVERSE = st.integers(-(10**12), 6)
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(["decompose", "rank", "conjugate", "dyson", "census",
+                                "verify", "selftest"]))
+    json_flag = draw(st.sampled_from([[], ["--json"]]))
+    if cmd == "selftest":
+        # at least one --suite: without one every suite runs, about a minute
+        suites = draw(st.lists(st.sampled_from(["golden", "bogus"]), min_size=1, max_size=2))
+        return [cmd, *[a for name in suites for a in ("--suite", name)], *json_flag]
+    if cmd == "census":
+        n = draw(_small_or(st.integers(-2, 10**18)))
+        return [cmd, str(n), "--k", str(draw(_K)), "--m", str(draw(_M)), *json_flag]
+    if cmd == "verify":
+        argv = [cmd, draw(st.sampled_from(IDENTITIES)),
+                "--order", str(draw(_small_or(st.integers(-2, 10**8))))]
+        for flag, value in (("--k", _K), ("--a", st.integers(-1, 8)), ("--m", _M), ("--r", _R)):
+            if draw(st.booleans()):
+                argv += [flag, str(draw(value))]
+        return argv + json_flag
+    argv = [cmd, draw(_PARTITION), *json_flag]
+    if cmd == "conjugate":
+        return argv + (["--k", str(draw(_K))] if draw(st.booleans()) else [])
+    argv += ["--k", str(draw(_K))]
+    if cmd == "dyson":
+        inverse = draw(st.booleans())
+        argv += ["--m", str(draw(_M_INVERSE if inverse else _M)), "--r", str(draw(_R))]
+        return argv + (["--inverse"] if inverse else [])
+    argv += ["--m", str(draw(_M))]
+    if cmd == "rank":
+        argv += draw(st.lists(st.sampled_from(["--garvan", "--trace"]), unique=True))
+    return argv
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=10), derandomize=True)
+@given(_argv())
+def test_cli_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        # a near-cap rank series holds up to about 25 MB; keep at most one
+        importlib.import_module("durfee.census")._rank_series.cache_clear()
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    if code in (1, 3):
+        assert "error[" in err.getvalue(), argv

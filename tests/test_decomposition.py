@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from durfee import (
@@ -63,6 +65,17 @@ def test_compose_rejects_non_maximal_widths():
     # (4,4) decomposes greedily with first square 2, not 1
     with pytest.raises(InvalidDecomposition):
         compose(DurfeeDecomposition(0, 2, (1, 1), (P([3]), P([3])), P([])))
+
+
+def test_round_trip_cost_does_not_grow_with_m():
+    # rows past the last part lie in width-0 rectangles and are not walked
+    t = time.perf_counter()
+    for m in (10**12, 4 * 10**6):
+        for lam in (P([5, 4, 4, 1]), P([]), BIG):
+            d = decompose(lam, 3, m)
+            assert d.widths == (0, 0, 0)
+            assert compose(d) == lam
+    assert time.perf_counter() - t < 0.1
 
 
 def test_profile_examples():

@@ -123,7 +123,7 @@ def test_multisum_cost_is_bounded_in_k():
         multisum_lhs(3, None, 10**8)
     assert time.perf_counter() - t < 0.1
     # every order up to 2000 stays accepted, whatever k
-    assert _levels_cost(10**9, 2000) <= MAX_SERIES_COST
+    assert _levels_cost(10**9, lambda j, v: v * v, 0, 0, 2000)[0] <= MAX_SERIES_COST
 
 
 def test_multisum_shift_bounds():

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from durfee import (
@@ -30,6 +32,14 @@ def test_rank_km_empty_partition():
 def test_rank_km_requires_decomposition():
     with pytest.raises(NoSuchDecomposition):
         rank_km(P([1, 1]), 3, 0)
+
+
+def test_rank_km_cost_does_not_grow_with_m():
+    t = time.perf_counter()
+    for m in (10**12, 4 * 10**6):
+        st = rank_km(P([5, 4]), 3, m)
+        assert (st.a, st.b, st.widths) == (5, 0, (0, 0, 0))
+    assert time.perf_counter() - t < 0.1
 
 
 def test_rank_km_vs_dyson_rank():
