@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from .decomposition import DurfeeDecomposition, compose, decompose, profile
 from .errors import (
+    ImpracticalOrder,
     InternalInvariantViolation,
     InvalidDecomposition,
     RankTooLarge,
@@ -12,6 +13,7 @@ from .errors import (
     ZeroWidthRectangle,
 )
 from .partition import Partition
+from .qseries import MAX_PARTS
 from .rank import _rank_km_full, dyson_rank
 from .select_insert import (
     PartitionSequence,
@@ -104,7 +106,9 @@ def gen_dyson_inverse(mu: Partition, k: int, m: int, r: int) -> Partition:
     reassembles with widths one larger under parameter m.  Requires
     (k,m+2)-rank at least -r.  Images whose rectangles are too small to
     have come from valid m-rectangles (width + 1 + m < 1, possible only
-    for m < 0) have no preimage and raise InvalidDecomposition.
+    for m < 0) have no preimage and raise InvalidDecomposition.  A
+    preimage of more than ``qseries.MAX_PARTS`` parts raises
+    ImpracticalOrder before any of it is built.
     """
     stats, d, _ = _rank_km_full(mu, k, m + 2)
     if stats.r < -r:
@@ -115,6 +119,14 @@ def gen_dyson_inverse(mu: Partition, k: int, m: int, r: int) -> Partition:
                 f"no preimage: width {w} would need an m-rectangle of height {w + 1 + m}"
             )
     t = stats.a + r
+    # every rectangle of the preimage has positive width, so it adds all its
+    # w + 1 + m rows; the t rows below follow
+    parts = sum(d.widths) + k * (m + 1) + t
+    if parts > MAX_PARTS:
+        raise ImpracticalOrder(
+            f"preimage of {mu.text()} under k={k}, m={m}, r={r} would have "
+            f"{parts} parts (cap {MAX_PARTS}); refusing"
+        )
     trace, residue = remove_selected(PartitionSequence(d.sides, profile(d)))
     if trace.total != stats.a:
         raise InternalInvariantViolation(

@@ -9,9 +9,9 @@ kept only as the oracle: the ``census`` selftest suite compares the two.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, sub
+from typing import NamedTuple
 
 from .errors import ImpracticalOrder, InternalInvariantViolation
 from .partition import p_table
@@ -22,8 +22,7 @@ from .qseries import MAX_SERIES_COST, _durfee_levels, _levels_cost, _refuse_abov
 _ORDER_STEP = 32
 
 
-@dataclass(frozen=True)
-class CensusTable:
+class CensusTable(NamedTuple):
     """Counts of partitions of n by (k,m)-rank value."""
 
     n: int

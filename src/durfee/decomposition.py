@@ -8,14 +8,13 @@ of rectangle i, and the below-partition alpha under rectangle k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalInvariantViolation, InvalidDecomposition, NoSuchDecomposition
 from .partition import Partition
 
 
-@dataclass(frozen=True)
-class DurfeeDecomposition:
+class DurfeeDecomposition(NamedTuple):
     m: int
     k: int
     widths: tuple[int, ...]

@@ -50,11 +50,12 @@ class UnsupportedRegion(DurfeeError):
 
 
 class ImpracticalOrder(DurfeeError):
-    """A series was requested at an order too costly to compute.
+    """A series or a partition was requested at a size too costly to compute.
 
     Raised before any work when the estimated cost passes
     ``qseries.MAX_SERIES_COST``: by the census engine, by ``multisum_lhs``
-    and by ``verify_identity``.
+    and by ``verify_identity``; and by ``gen_dyson_inverse`` when the
+    preimage would have more than ``qseries.MAX_PARTS`` parts.
     """
 
 

@@ -3,9 +3,9 @@ coefficient-level verification of the partition identities."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, sub
+from typing import NamedTuple
 
 from .errors import ImpracticalOrder, UnknownIdentity, UnsupportedRegion
 from .partition import p_table
@@ -14,6 +14,12 @@ from .partition import p_table
 # and 40 MB on a 2-core VM).  The census engine, multisum_lhs and
 # verify_identity all refuse past it with ImpracticalOrder.
 MAX_SERIES_COST = 20_000_000
+
+# Largest partition gen_dyson_inverse builds, in parts (a CLI call at the
+# budget takes about 2 s on the same VM).  The preimage's parts are counted
+# before any of them is built; past the budget the map refuses with
+# ImpracticalOrder.
+MAX_PARTS = 1_000_000
 
 
 class QSeries:
@@ -227,8 +233,12 @@ def _levels_cost(k: int, exponent, low: int, top: int, order: int) -> tuple[int,
     and how many series it returns: its loops, run on (lowest exponent,
     length) pairs.  A pass of 1/(1 - q^s) over L coefficients makes L - s
     additions, and adding H_{j-1}(u) to acc one per coefficient they share.
-    Stops once past MAX_SERIES_COST.
+    Stops once past MAX_SERIES_COST.  The order + 1 cells of an output
+    series, all that is built at a single level, refuse a huge order before
+    any width is listed.
     """
+    if order + 1 > MAX_SERIES_COST:
+        return order + 1, 0
     h = []
     while (e := exponent(1, low + len(h))) <= order:
         h.append((e, 1))
@@ -263,7 +273,8 @@ def multisum_lhs(k: int, a_shift: int | None, order: int) -> QSeries:
     j v^2 <= order, about sqrt(order/j) of them, so the cost is
     O(order^2 log order) for any k.  Raises ImpracticalOrder above
     MAX_SERIES_COST coefficient additions: past order 2317 for large k,
-    later for small k.
+    later for small k, and at k = 1 once the order + 1 coefficients alone
+    pass it.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -384,8 +395,7 @@ def _h_closed_form(k: int, m: int, r: int, order: int) -> QSeries:
     return inv_euler(order) * QSeries(cs, order)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     name: str
     params: dict
     order: int

@@ -9,7 +9,7 @@ pointwise but equidistributed jointly with the widths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .decomposition import DurfeeDecomposition, compose, decompose, profile
 from .errors import EmptyPartition, InternalInvariantViolation
@@ -17,8 +17,7 @@ from .partition import Partition
 from .select_insert import PartitionSequence, SelectionTrace, select
 
 
-@dataclass(frozen=True)
-class RankStats:
+class RankStats(NamedTuple):
     a: int
     b: int
     r: int

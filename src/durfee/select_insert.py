@@ -17,33 +17,53 @@ jumps (see ``insert``), so its cost does not depend on a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InsertionUnderflow, InternalInvariantViolation
 from .partition import Partition
 
 
-@dataclass(frozen=True)
 class PartitionSequence:
-    """k partitions with bounds p_2..p_k; requires largest(lambda^i) <= p_i."""
+    """k partitions with bounds p_2..p_k; requires largest(lambda^i) <= p_i.
+
+    Instances are immutable and hashable.
+    """
+
+    __slots__ = ("partitions", "bounds")
 
     partitions: tuple[Partition, ...]
     bounds: tuple[int, ...]
 
-    def __post_init__(self):
-        k = len(self.partitions)
+    def __init__(self, partitions: tuple[Partition, ...], bounds: tuple[int, ...]):
+        k = len(partitions)
         if k < 1:
             raise ValueError("a sequence needs at least one partition")
-        if len(self.bounds) != k - 1:
+        if len(bounds) != k - 1:
             raise ValueError(f"expected {k - 1} bounds for {k} partitions")
-        for i, p in enumerate(self.bounds):
+        for i, p in enumerate(bounds):
             if p < 0:
                 raise ValueError("bounds must be non-negative")
-            if self.partitions[i + 1].largest > p:
+            if partitions[i + 1].largest > p:
                 raise ValueError(
                     f"partition {i + 2} has largest part "
-                    f"{self.partitions[i + 1].largest} > bound {p}"
+                    f"{partitions[i + 1].largest} > bound {p}"
                 )
+        object.__setattr__(self, "partitions", partitions)
+        object.__setattr__(self, "bounds", bounds)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PartitionSequence is immutable")
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PartitionSequence):
+            return self.partitions == other.partitions and self.bounds == other.bounds
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.partitions, self.bounds))
+
+    def __repr__(self) -> str:
+        return f"PartitionSequence(partitions={self.partitions!r}, bounds={self.bounds!r})"
 
     @property
     def k(self) -> int:
@@ -57,8 +77,7 @@ class PartitionSequence:
         return tuple(p.parts for p in self.partitions)
 
 
-@dataclass(frozen=True)
-class SelectionTrace:
+class SelectionTrace(NamedTuple):
     """Selected row index and part size per partition, and their total."""
 
     rows: tuple[int, ...]

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .bijections import dyson_map, gen_conjugate, gen_dyson, gen_dyson_inverse
 from .census import h_count, rank_census
@@ -48,8 +48,7 @@ from .select_insert import (
 P = Partition
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""

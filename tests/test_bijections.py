@@ -69,8 +69,6 @@ def test_gen_dyson_inverse_rejects_unreachable_images():
 
 
 def test_internal_violation_names_input_and_parameters(monkeypatch):
-    import dataclasses
-
     import durfee.bijections as bij
 
     lam = P([10, 8, 8, 6, 5, 3, 3, 2, 2, 2, 1, 1, 1])
@@ -80,7 +78,7 @@ def test_internal_violation_names_input_and_parameters(monkeypatch):
 
     def off_by_one(seq):
         trace, rest = real(seq)
-        return dataclasses.replace(trace, total=trace.total + 1), rest
+        return trace._replace(total=trace.total + 1), rest
 
     monkeypatch.setattr(bij, "remove_selected", off_by_one)
     with pytest.raises(InternalInvariantViolation) as err:

@@ -122,8 +122,17 @@ def test_multisum_cost_is_bounded_in_k():
     with pytest.raises(ImpracticalOrder):
         multisum_lhs(3, None, 10**8)
     assert time.perf_counter() - t < 0.1
+    # a huge order is refused before any width is listed, also at k = 1
+    # where there is a single level and the output cells are the whole cost
+    for call, args in ((q_table, (0, 10**12)), (q_table, (1, 10**18)),
+                       (multisum_lhs, (1, None, 10**12))):
+        t = time.perf_counter()
+        with pytest.raises(ImpracticalOrder):
+            call(*args)
+        assert time.perf_counter() - t < 0.1, args
     # every order up to 2000 stays accepted, whatever k
-    assert _levels_cost(10**9, lambda j, v: v * v, 0, 0, 2000)[0] <= MAX_SERIES_COST
+    for k in (1, 2, 3, 10, 10**9):
+        assert _levels_cost(k, lambda j, v: v * v, 0, 0, 2000)[0] <= MAX_SERIES_COST, k
 
 
 def test_multisum_shift_bounds():
