@@ -12,8 +12,7 @@ from .errors import (
     RankTooSmall,
     ZeroWidthRectangle,
 )
-from .partition import Partition
-from .qseries import MAX_PARTS
+from .partition import MAX_PARTS, Partition
 from .rank import _rank_km_full, dyson_rank
 from .select_insert import (
     PartitionSequence,
@@ -107,7 +106,7 @@ def gen_dyson_inverse(mu: Partition, k: int, m: int, r: int) -> Partition:
     (k,m+2)-rank at least -r.  Images whose rectangles are too small to
     have come from valid m-rectangles (width + 1 + m < 1, possible only
     for m < 0) have no preimage and raise InvalidDecomposition.  A
-    preimage of more than ``qseries.MAX_PARTS`` parts raises
+    preimage of more than ``partition.MAX_PARTS`` parts raises
     ImpracticalOrder before any of it is built.
     """
     stats, d, _ = _rank_km_full(mu, k, m + 2)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .errors import ImpracticalOrder, InternalInvariantViolation
 from .partition import p_table
-from .qseries import MAX_SERIES_COST, _durfee_levels, _levels_cost, _refuse_above_cap, q_table
+from .qseries import MAX_SERIES_COST, _durfee_levels, _levels_plan, _refuse_above_cap, q_table
 
 # census and h_count of n read the series to n rounded up to this step, so
 # a sweep over n computes one series per (k, m) and step.
@@ -44,23 +44,28 @@ class CensusTable(NamedTuple):
         }
 
 
-def _series_cost(k: int, m: int, order: int) -> int:
-    """Coefficient additions ``_rank_series(k, m, order)`` makes.
+def _series_plan(k: int, m: int, order: int) -> tuple[list, list[list[tuple[int, int]]], int]:
+    """The ``qseries._levels_plan`` of the H_k(w) that ``_rank_series(k, m,
+    order)`` sums, the z-kernel passes (s, dz), each 1/(1 - z^dz q^s), that
+    follow each H_k(w), widest w first, and the additions of both.
 
-    The levels cost what ``_levels_cost`` counts.  A pass of
-    1/(1 - z^(+-1) q^s) adds row n - s into row n for every n >= s,
-    (order + 1 - s)^2 additions: two per width above the narrowest, then the
-    last ones.  The (order + 1)^2 cells of the rows, all that is built when
-    no width survives k levels, refuse a huge order before any width is
-    counted.
+    A pass adds row n - s into row n for every n >= s: (order + 1 - s)^2
+    additions, none for s > order, so those are left out.  When no width
+    survives k levels, the (order + 1)^2 cells of the zero rows are the
+    price; they also refuse a huge order before any width is listed.
     """
+    cells = (order + 1) ** 2
+    if cells > MAX_SERIES_COST:
+        return [[]], [], cells
     low = max(0, 1 - m)
-    if k * low * (low + m) > order or (order + 1) ** 2 > MAX_SERIES_COST:
-        return (order + 1) ** 2
-    levels, widths = _levels_cost(k, lambda j, v: v * (v + m), low, order, order)
-    shifts = [s for w in range(low, low + widths - 1) for s in (w + 1 + m, w + 1)]
-    shifts += [*range(1, min(low + m, order) + 1), *range(1, min(low, order) + 1)]
-    return levels + sum((order + 1 - s) ** 2 for s in shifts if s <= order)
+    levels, cost = _levels_plan(k, lambda j, v: v * (v + m), low, order, order)
+    if not levels[-1]:
+        return levels, [], cells
+    passes = [[(w + m, 1), (w, -1)] for w in range(low + len(levels[-1]) - 1, low, -1)]
+    passes.append([(s, 1) for s in range(1, min(low + m, order) + 1)]
+                  + [(s, -1) for s in range(1, min(low, order) + 1)])
+    passes = [[(s, dz) for s, dz in after if s <= order] for after in passes]
+    return levels, passes, cost + sum((order + 1 - s) ** 2 for after in passes for s, _ in after)
 
 
 def _times_z_geometric(rows: list[list[int]], s: int, dz: int) -> None:
@@ -106,32 +111,26 @@ def _rank_series(k: int, m: int, order: int) -> tuple[tuple[int, ...], ...]:
     H_{i-1}(u) / (q)_{u-v}: the level recursion ``qseries._durfee_levels``
     that ``multisum_lhs`` also runs.  Horner over w from the widest down adds the
     z-kernel acc = H_k(w) + acc / ((1 - z q^(w+1+m)) (1 - q^(w+1)/z)), and
-    one last pass applies 1/((zq)_{w+m} (q/z)_w) at the narrowest w.
+    the last passes apply 1/((zq)_{w+m} (q/z)_w) at the narrowest w; the
+    passes after each w are listed by ``_series_plan``.
     For m >= 0 every row total is checked against p(n), less q_{k-1}(n) at
     m = 0 (partitions with at most k - 1 Durfee squares have no k
     0-rectangles), and a mismatch raises InternalInvariantViolation.
-    Raises ImpracticalOrder when ``_series_cost`` exceeds MAX_SERIES_COST.
+    Raises ImpracticalOrder when the price of that plan exceeds MAX_SERIES_COST.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if order < 0:
         raise ValueError("order must be non-negative")
-    _refuse_above_cap(_series_cost(k, m, order), f"rank series k={k} m={m} to order {order}")
-    low = max(0, 1 - m)
+    levels, passes, cost = _series_plan(k, m, order)
+    _refuse_above_cap(cost, f"rank series k={k} m={m} to order {order}")
     rows = [[0] * (2 * n + 1) for n in range(order + 1)]
-    if k * low * (low + m) <= order:  # else no width survives k levels
-        u_terms = _durfee_levels(k, lambda j, v: v * (v + m), low, order, order)
-        for w in range(low + len(u_terms) - 1, low - 1, -1):
-            for n, c in enumerate(u_terms[w - low]):
-                if c:
-                    rows[n][n] += c
-            if w > low:
-                _times_z_geometric(rows, w + m, 1)
-                _times_z_geometric(rows, w, -1)
-        for s in range(1, min(low + m, order) + 1):
-            _times_z_geometric(rows, s, 1)
-        for s in range(1, min(low, order) + 1):
-            _times_z_geometric(rows, s, -1)
+    for terms, after in zip(reversed(_durfee_levels(levels, order)), passes):
+        for n, c in enumerate(terms):
+            if c:
+                rows[n][n] += c
+        for s, dz in after:
+            _times_z_geometric(rows, s, dz)
     if m >= 0:
         expect = p_table(order)
         if m == 0:

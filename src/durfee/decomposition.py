@@ -10,8 +10,13 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import InternalInvariantViolation, InvalidDecomposition, NoSuchDecomposition
-from .partition import Partition
+from .errors import (
+    ImpracticalOrder,
+    InternalInvariantViolation,
+    InvalidDecomposition,
+    NoSuchDecomposition,
+)
+from .partition import MAX_PARTS, Partition
 
 
 class DurfeeDecomposition(NamedTuple):
@@ -125,25 +130,33 @@ def compose(d: DurfeeDecomposition) -> Partition:
     """Reassemble a partition from a decomposition; inverse of decompose.
 
     Raises InvalidDecomposition unless all structural invariants hold and
-    the result decomposes back to the same widths (greedy maximality).
+    the result decomposes back to the same widths (greedy maximality), and
+    ImpracticalOrder, before any row is built, when the result would have
+    more than MAX_PARTS parts.
     """
     _validate(d)
+    m, k, widths, sides, below = d
+    # a width-0 rectangle adds only its side's rows, whatever m
+    heights = [w + m if w else len(side) for w, side in zip(widths, sides)]
+    parts = sum(heights) + len(below)
+    if parts > MAX_PARTS:
+        raise ImpracticalOrder(
+            f"composed partition would have {parts} parts (cap {MAX_PARTS}); refusing"
+        )
     rows = []
-    for i in range(d.k):
-        w = d.widths[i]
-        side = d.sides[i].parts
-        # a width-0 rectangle adds only its side's rows, whatever m
-        for j in range(w + d.m if w else len(side)):
+    for w, side, height in zip(widths, sides, heights):
+        side = side.parts
+        for j in range(height):
             rows.append(w + (side[j] if j < len(side) else 0))
-    rows.extend(d.below.parts)
+    rows.extend(below.parts)
     for a, b in zip(rows, rows[1:]):
         if a < b:
             raise InvalidDecomposition("assembled rows are not weakly decreasing")
     lam = Partition._fromparts(tuple(rows))
-    redo = decompose(lam, d.k, d.m)
-    if redo.widths != d.widths:
+    redo = decompose(lam, k, m)
+    if redo.widths != widths:
         raise InvalidDecomposition(
-            f"widths {d.widths} are not maximal for {lam.text()} (greedy gives {redo.widths})"
+            f"widths {widths} are not maximal for {lam.text()} (greedy gives {redo.widths})"
         )
     return lam
 

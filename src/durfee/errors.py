@@ -52,10 +52,12 @@ class UnsupportedRegion(DurfeeError):
 class ImpracticalOrder(DurfeeError):
     """A series or a partition was requested at a size too costly to compute.
 
-    Raised before any work when the estimated cost passes
+    Raised before any work when the price of a series plan passes
     ``qseries.MAX_SERIES_COST``: by the census engine, by ``multisum_lhs``
-    and by ``verify_identity``; and by ``gen_dyson_inverse`` when the
-    preimage would have more than ``qseries.MAX_PARTS`` parts.
+    and by ``verify_identity``.  Raised before any part is built when a
+    partition would have more than ``partition.MAX_PARTS`` parts: by
+    ``Partition.conjugate`` (so also by ``gen_conjugate`` and
+    ``garvan_conjugate``), by ``compose`` and by ``gen_dyson_inverse``.
     """
 
 

@@ -5,7 +5,13 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import EmptyPartition
+from .errors import EmptyPartition, ImpracticalOrder
+
+# Largest partition a map builds, in parts (about 2 s as a CLI call on a
+# 2-core VM).  Conjugation, compose and gen_dyson_inverse count the parts
+# of their output before building any of it, and past the budget refuse
+# with ImpracticalOrder.
+MAX_PARTS = 1_000_000
 
 
 class Partition:
@@ -65,10 +71,19 @@ class Partition:
         return ps[j - 1] if j <= len(ps) else 0
 
     def conjugate(self) -> "Partition":
-        """Reflect the Young diagram across its main diagonal."""
+        """Reflect the Young diagram across its main diagonal.
+
+        The conjugate has as many parts as the largest part; past MAX_PARTS
+        it raises ImpracticalOrder before building any of them.
+        """
         ps = self.parts
         if not ps:
             return _EMPTY
+        if ps[0] > MAX_PARTS:
+            raise ImpracticalOrder(
+                f"conjugate of a partition with largest part {ps[0]} would have "
+                f"{ps[0]} parts (cap {MAX_PARTS}); refusing"
+            )
         out = []
         n = len(ps)
         j = n - 1

@@ -15,12 +15,6 @@ from .partition import p_table
 # verify_identity all refuse past it with ImpracticalOrder.
 MAX_SERIES_COST = 20_000_000
 
-# Largest partition gen_dyson_inverse builds, in parts (a CLI call at the
-# budget takes about 2 s on the same VM).  The preimage's parts are counted
-# before any of them is built; past the budget the map refuses with
-# ImpracticalOrder.
-MAX_PARTS = 1_000_000
-
 
 class QSeries:
     """Coefficients c_0..c_T of a series known modulo q^(T+1).
@@ -185,39 +179,70 @@ def inv_euler(order: int) -> QSeries:
     return QSeries(p_table(order), order)
 
 
-def _durfee_levels(k: int, exponent, low: int, top: int, order: int) -> list[list[int]]:
-    """H_k(v) truncated at q^order, for the widths v = low..top whose series
-    is not zero there.
+def _levels_plan(k: int, exponent, low: int, top: int, order: int) -> tuple[list[list[int]], int]:
+    """What ``_durfee_levels`` builds: per level, the lowest exponent of
+    every width kept, from v = low up (at the last level up to ``top``);
+    and the coefficient additions it makes building them.
 
     H_1(v) = q^e(1,v) and H_j(v) = q^e(j,v) sum_{u >= v} H_{j-1}(u) / (q)_{u-v},
     with e = ``exponent``, increasing in v and e(j, 0) = 0.  This is Andrews'
     Durfee dissection (Amer. J. Math. 1979) level by level: v is the width
     of the j-th square or rectangle, u that of the one above it, and
-    1/(q)_{u-v} the side between them.  Each sum is Horner over u, widest
-    first: acc = H_{j-1}(u) + acc / (1 - q^(u-v+1)).  A series is kept from
-    its lowest exponent up, which is e(1,v) + ... + e(j,v), so a width dies
-    once that passes the order.  Once width 0 is the only one left, every
-    further level leaves it unchanged, so the recursion stops there and its
-    cost stops growing with k.  ``_levels_cost`` counts its additions.
+    1/(q)_{u-v} the side between them.  H_j(v) starts at e(1,v) + ... +
+    e(j,v), so a width dies once that passes the order, the narrowest last.
+    Once width 0 is the only one left, every further level leaves it
+    unchanged, so the plan stops there and its cost stops growing with k.
+    A pass of 1/(1 - q^s) over L coefficients makes L - s additions, and
+    adding H_{j-1}(u) L more, none at level 2, where H_1(u) is a monomial
+    below them.  Stops once past MAX_SERIES_COST; the order + 1 cells of
+    one output series refuse a huge order before any width is listed.
     """
-    # (lowest exponent, coefficients from there on; missing ones up to q^order are 0)
-    h = []
-    while (e := exponent(1, low + len(h))) <= order:
-        h.append((e, [1]))
+    if order + 1 > MAX_SERIES_COST:
+        return [[]], order + 1
+    narrowest = 0
+    for j in range(1, k + 1 if low else 1):  # width 0 never dies
+        narrowest += exponent(j, low)
+        if narrowest > order:  # and as the last to die, leaves no width to build
+            return [[]], 0
+    starts = []
+    while (e := exponent(1, low + len(starts))) <= order:
+        starts.append(e)
+    plan, cost = [starts], 0
     for j in range(2, k + 1):
-        if not h or (low == 0 and len(h) == 1):
+        prev = plan[-1]
+        if low == 0 and len(prev) == 1:
             break
-        widest = low + len(h) - 1
-        nxt = []
-        for v in range(low, (widest if j < k else min(widest, top)) + 1):
-            start = h[v - low][0] + exponent(j, v)
+        starts = []
+        for v in range(len(prev) if j < k else min(len(prev), top - low + 1)):
+            start = prev[v] + exponent(j, low + v)
             if start > order:
                 break
+            for u in range(v, len(prev) - 1):
+                fill = order + 1 - prev[u + 1]  # coefficients of the running sum
+                cost += max(0, fill - (u - v + 1)) + (fill if j > 2 else 0)
+            if cost > MAX_SERIES_COST:
+                return plan, cost
+            starts.append(start)
+        plan.append(starts)
+    plan[-1] = plan[-1][: top - low + 1]
+    return plan, cost
+
+
+def _durfee_levels(plan: list[list[int]], order: int) -> list[list[int]]:
+    """Runs a ``_levels_plan``: the series of its last level, truncated at
+    q^order, narrowest width first.  Each sum is Horner over u, widest
+    first: acc = H_{j-1}(u) + acc / (1 - q^(u-v+1)).
+    """
+    # (lowest exponent, coefficients from there on; missing ones up to q^order are 0)
+    h = [(e, [1]) for e in plan[0]]
+    for starts in plan[1:]:
+        nxt = []
+        for v, start in enumerate(starts):
             base, cs = h[-1]
             acc = cs + [0] * (order + 1 - base - len(cs))
-            for u in range(widest - 1, v - 1, -1):
+            for u in range(len(h) - 2, v - 1, -1):
                 _times_geometric(acc, u - v + 1)
-                lowest, cs = h[u - low]
+                lowest, cs = h[u]
                 d = base - lowest
                 acc = cs[:d] + [0] * (d - len(cs)) + acc
                 acc[d : len(cs)] = map(add, acc[d : len(cs)], cs[d:])
@@ -225,40 +250,7 @@ def _durfee_levels(k: int, exponent, low: int, top: int, order: int) -> list[lis
             del acc[order + 1 - start :]
             nxt.append((start, acc))
         h = nxt
-    return [[0] * base + cs + [0] * (order + 1 - base - len(cs)) for base, cs in h[: top - low + 1]]
-
-
-def _levels_cost(k: int, exponent, low: int, top: int, order: int) -> tuple[int, int]:
-    """Coefficient additions ``_durfee_levels`` makes with these arguments,
-    and how many series it returns: its loops, run on (lowest exponent,
-    length) pairs.  A pass of 1/(1 - q^s) over L coefficients makes L - s
-    additions, and adding H_{j-1}(u) to acc one per coefficient they share.
-    Stops once past MAX_SERIES_COST.  The order + 1 cells of an output
-    series, all that is built at a single level, refuse a huge order before
-    any width is listed.
-    """
-    if order + 1 > MAX_SERIES_COST:
-        return order + 1, 0
-    h = []
-    while (e := exponent(1, low + len(h))) <= order:
-        h.append((e, 1))
-    cost = 0
-    for j in range(2, k + 1):
-        if not h or (low == 0 and len(h) == 1):
-            break
-        widest = low + len(h) - 1
-        nxt = []
-        for v in range(low, (widest if j < k else min(widest, top)) + 1):
-            start = h[v - low][0] + exponent(j, v)
-            if start > order or cost > MAX_SERIES_COST:
-                break
-            for u in range(widest - 1, v - 1, -1):
-                lowest, length = h[u - low]
-                d = h[u + 1 - low][0] - lowest
-                cost += max(0, order + 1 - lowest - d - (u - v + 1)) + max(0, length - d)
-            nxt.append((start, order + 1 - start))
-        h = nxt
-    return cost, len(h[: top - low + 1])
+    return [[0] * base + cs + [0] * (order + 1 - base - len(cs)) for base, cs in h]
 
 
 def multisum_lhs(k: int, a_shift: int | None, order: int) -> QSeries:
@@ -271,8 +263,8 @@ def multisum_lhs(k: int, a_shift: int | None, order: int) -> QSeries:
     Computed as H_k(0) of ``_durfee_levels`` with e_j(v) = v^2 + v [j >= a]:
     v is N_j and 1/(q)_{u-v} is 1/(q)_{n_j}.  Level j holds the widths with
     j v^2 <= order, about sqrt(order/j) of them, so the cost is
-    O(order^2 log order) for any k.  Raises ImpracticalOrder above
-    MAX_SERIES_COST coefficient additions: past order 2317 for large k,
+    O(order^2 log order) for any k.  Raises ImpracticalOrder when the
+    plan's price passes MAX_SERIES_COST additions: past order 2317 for large k,
     later for small k, and at k = 1 once the order + 1 coefficients alone
     pass it.
     """
@@ -283,9 +275,9 @@ def multisum_lhs(k: int, a_shift: int | None, order: int) -> QSeries:
     if order < 0:
         raise ValueError("order must be non-negative")
     shift = k if a_shift is None else a_shift
-    levels = (k, lambda j, v: v * v + (v if j >= shift else 0), 0, 0, order)
-    _refuse_above_cap(_levels_cost(*levels)[0], f"multisum k={k} to order {order}")
-    return QSeries(_durfee_levels(*levels)[0], order)
+    plan, cost = _levels_plan(k, lambda j, v: v * v + (v if j >= shift else 0), 0, 0, order)
+    _refuse_above_cap(cost, f"multisum k={k} to order {order}")
+    return QSeries(_durfee_levels(plan, order)[0], order)
 
 
 def q_table(k: int, N: int) -> list[int]:

@@ -65,11 +65,15 @@ def _rank_km_full(
 
 
 def garvan_rank(lam: Partition, k: int) -> RankStats:
-    """Garvan's statistic: columns of lambda^1 no taller than N_k, vs parts below."""
+    """Garvan's statistic: columns of lambda^1 no taller than N_k, vs parts below.
+
+    Column c of lambda^1 is taller than N_k exactly when part N_k + 1 of
+    lambda^1 reaches c, so a = lambda^1_1 - lambda^1_{N_k+1}: O(1) for any
+    part size.
+    """
     d = decompose(lam, k, 0)
-    n_k = d.widths[-1]
-    cols = d.sides[0].conjugate().parts
-    a = sum(1 for h in cols if h <= n_k)
+    side = d.sides[0]
+    a = side.largest - side.part(d.widths[-1] + 1)
     b = len(d.below)
     return RankStats(a, b, a - b, d.widths)
 

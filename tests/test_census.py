@@ -7,7 +7,7 @@ import pytest
 from durfee import census, h_count, multisum_lhs, p_table, q_table
 from durfee.census import rank_census
 from durfee.errors import ImpracticalOrder
-from durfee.qseries import _levels_cost, h_census_series
+from durfee.qseries import MAX_SERIES_COST, _levels_plan, h_census_series
 from durfee.selftest import _enumerated_census
 
 census_module = importlib.import_module("durfee.census")  # durfee.census is the function
@@ -109,6 +109,10 @@ def test_census_refuses_orders_past_the_cap():
     with pytest.raises(ImpracticalOrder):
         h_census_series(1, 0, 0, "le", 10**18)
     assert time.perf_counter() - t < 0.1
+    # the exact count puts the caps here; pricing alone builds no series
+    for k, m, order in ((1, 0, 644), (3, 0, 792)):
+        assert census_module._series_plan(k, m, order)[2] <= MAX_SERIES_COST
+        assert census_module._series_plan(k, m, order + 1)[2] > MAX_SERIES_COST
 
 
 def test_census_cost_does_not_grow_with_k():
@@ -120,9 +124,9 @@ def test_census_cost_does_not_grow_with_k():
 
 def test_series_cache_hit_runs_no_cost_estimate(monkeypatch):
     estimates = []
-    real = census_module._series_cost
+    real = census_module._series_plan
     monkeypatch.setattr(
-        census_module, "_series_cost", lambda *a: estimates.append(a) or real(*a)
+        census_module, "_series_plan", lambda *a: estimates.append(a) or real(*a)
     )
     census_module._rank_series.cache_clear()
     for n in range(1, 33):
@@ -162,7 +166,7 @@ def test_cost_estimates_count_every_addition(monkeypatch, k):
     for order in (0, 1, 7, 40, 90):
         count[0] = 0
         multisum_lhs(k, None, order)
-        assert count[0] == _levels_cost(k, multisum_exponent, 0, 0, order)[0]
+        assert count[0] == _levels_plan(k, multisum_exponent, 0, 0, order)[1]
         for m in range(-2, 3):
             count[0] = 0
             census_module._rank_series.__wrapped__(k, m, order)
@@ -170,4 +174,4 @@ def test_cost_estimates_count_every_addition(monkeypatch, k):
             if k * low * (low + m) > order:  # no term: only the zero rows are built
                 assert count[0] == 0
                 count[0] = (order + 1) ** 2
-            assert count[0] == census_module._series_cost(k, m, order), (m, order)
+            assert count[0] == census_module._series_plan(k, m, order)[2], (m, order)

@@ -9,7 +9,7 @@ import time
 from datetime import timedelta
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from durfee import cli
@@ -143,12 +143,17 @@ def test_domain_errors_exit_3(capsys):
     code, _, err = run(capsys, "verify", "h_closed_form", "--k", "1", "--m", "-1",
                        "--r", "1", "--order", "10")
     assert code == 3 and "error[UnsupportedRegion]" in err
-    # a preimage of about 10^12 parts is refused before any part is built
-    for m, r in (("1000000000000", "0"), ("0", "1000000000000")):
+    # an image of about 10^12 parts is refused before any part is built
+    for argv in (
+        ("dyson", "--inverse", "--k", "1", "--m", "1000000000000", "--r", "0", "5"),
+        ("dyson", "--inverse", "--k", "1", "--m", "0", "--r", "1000000000000", "5"),
+        ("conjugate", "1000000000000"),
+        ("conjugate", "--k", "1", "1000000000000"),
+    ):
         t = time.perf_counter()
-        code, out, err = run(capsys, "dyson", "--inverse", "--k", "1", "--m", m, "--r", r, "5")
-        assert code == 3 and out == "" and "error[ImpracticalOrder]" in err
-        assert time.perf_counter() - t < 0.1
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and "error[ImpracticalOrder]" in err, argv
+        assert time.perf_counter() - t < 0.1, argv
 
 
 def test_selftest_golden_suite(capsys):
@@ -187,12 +192,14 @@ def _small_or(big):
     return st.one_of(st.integers(-3, 40), big)
 
 
-# one partition text in ten is malformed
+_PARTS = st.lists(st.integers(1, 12), max_size=12)
+# up to 10^12, with every number of digits about as likely
+_BIG_PART = st.integers(1, 12).flatmap(lambda e: st.integers(10 ** (e - 1), 10**e))
+# one partition text in ten is malformed, and one in ten also has a big part
 _PARTITION = st.integers(0, 9).flatmap(
     lambda i: st.sampled_from(["1,x", "0", "3,5", ""]) if i == 0 else
-    st.lists(st.integers(1, 12), max_size=12).map(
-        lambda ps: ",".join(map(str, sorted(ps, reverse=True))) or "-"
-    )
+    (_PARTS if i > 1 else st.builds(lambda ps, big: [*ps, big], _PARTS, _BIG_PART))
+    .map(lambda ps: ",".join(map(str, sorted(ps, reverse=True))) or "-")
 )
 _K = _small_or(st.integers(-2, 10**5))
 _M = _small_or(st.integers(-(10**12), 10**12))
@@ -234,6 +241,8 @@ def _argv(draw):
 
 @settings(max_examples=300, deadline=timedelta(seconds=10), derandomize=True)
 @given(_argv())
+@example(["conjugate", "1000000000000"])  # a part this big is rare among the draws
+@example(["rank", "1000000000000", "--k", "1", "--m", "0", "--garvan", "--trace"])
 def test_cli_fuzz_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     try:

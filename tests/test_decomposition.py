@@ -11,7 +11,7 @@ from durfee import (
     partitions_of,
     profile,
 )
-from durfee.errors import InvalidDecomposition, NoSuchDecomposition
+from durfee.errors import ImpracticalOrder, InvalidDecomposition, NoSuchDecomposition
 
 P = Partition
 BIG = P([7, 7, 6, 6, 5, 4, 3, 3, 3, 2, 1, 1, 1, 1, 1])
@@ -75,6 +75,9 @@ def test_round_trip_cost_does_not_grow_with_m():
             d = decompose(lam, 3, m)
             assert d.widths == (0, 0, 0)
             assert compose(d) == lam
+    # a positive width at a huge m asks for m + 1 rows: counted and refused, not built
+    with pytest.raises(ImpracticalOrder):
+        compose(DurfeeDecomposition(10**12, 1, (1,), (P([]),), P([])))
     assert time.perf_counter() - t < 0.1
 
 

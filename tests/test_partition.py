@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,7 +13,8 @@ from durfee import (
     q_table,
 )
 from durfee.decomposition import decompose
-from durfee.errors import EmptyPartition, NoSuchDecomposition
+from durfee.errors import EmptyPartition, ImpracticalOrder, NoSuchDecomposition
+from durfee.partition import MAX_PARTS
 
 partitions = st.lists(st.integers(1, 12), max_size=10).map(
     lambda xs: Partition(sorted(xs, reverse=True))
@@ -50,6 +53,12 @@ def test_conjugate_examples():
     assert Partition([5, 5, 4, 1]).conjugate() == Partition([4, 3, 3, 3, 2])
     assert Partition([]).conjugate() == Partition([])
     assert Partition([3, 1]).conjugate() == Partition([2, 1, 1])
+    # the conjugate has as many parts as the largest part: too many are refused at once
+    t = time.perf_counter()
+    for big in (MAX_PARTS + 1, 10**12):
+        with pytest.raises(ImpracticalOrder):
+            Partition([big]).conjugate()
+    assert time.perf_counter() - t < 0.1
 
 
 def test_conjugate_matches_cell_oracle():

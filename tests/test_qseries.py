@@ -19,7 +19,7 @@ from durfee import (
     verify_identity,
 )
 from durfee.errors import ImpracticalOrder, UnknownIdentity, UnsupportedRegion
-from durfee.qseries import MAX_SERIES_COST, _first_mismatch, _levels_cost, _mul
+from durfee.qseries import MAX_SERIES_COST, _first_mismatch, _levels_plan, _mul
 
 
 def geometric(order):
@@ -132,7 +132,10 @@ def test_multisum_cost_is_bounded_in_k():
         assert time.perf_counter() - t < 0.1, args
     # every order up to 2000 stays accepted, whatever k
     for k in (1, 2, 3, 10, 10**9):
-        assert _levels_cost(k, lambda j, v: v * v, 0, 0, 2000)[0] <= MAX_SERIES_COST, k
+        assert _levels_plan(k, lambda j, v: v * v, 0, 0, 2000)[1] <= MAX_SERIES_COST, k
+    # and the cap for large k sits at 2317
+    assert _levels_plan(10**9, lambda j, v: v * v, 0, 0, 2317)[1] <= MAX_SERIES_COST
+    assert _levels_plan(10**9, lambda j, v: v * v, 0, 0, 2318)[1] > MAX_SERIES_COST
 
 
 def test_multisum_shift_bounds():

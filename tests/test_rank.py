@@ -4,6 +4,7 @@ import pytest
 
 from durfee import (
     Partition,
+    decompose,
     dyson_rank,
     garvan_conjugate,
     garvan_rank,
@@ -72,6 +73,24 @@ def test_garvan_rank_examples():
     assert (st.a, st.b, st.r) == (5, 4, 1)
     st1 = garvan_rank(P([5, 5, 4, 1]), 1)
     assert (st1.a, st1.b, st1.r) == (2, 1, 1)
+    # a is read off two parts of lambda^1, so a huge part costs nothing
+    t = time.perf_counter()
+    st2 = garvan_rank(P([10**12]), 1)
+    assert (st2.a, st2.b) == (10**12 - 1, 0)
+    assert time.perf_counter() - t < 0.1
+
+
+def test_garvan_rank_counts_short_columns():
+    # oracle: the columns of lambda^1 themselves, by conjugation
+    for n in range(15):
+        for lam in partitions_of(n):
+            for k in (1, 2, 3):
+                try:
+                    d = decompose(lam, k, 0)
+                except NoSuchDecomposition:
+                    continue
+                short = sum(1 for h in d.sides[0].conjugate().parts if h <= d.widths[-1])
+                assert garvan_rank(lam, k).a == short, (lam, k)
 
 
 def test_garvan_rank_k1_equals_km():
