@@ -1,26 +1,28 @@
 """Partition bijections: classic Dyson shift, generalized conjugation, and
-the generalized Dyson map between rectangle parameters m and m+2."""
+the generalized Dyson map between rectangle parameters m and m+2.
+
+Each map runs once, on part tuples, through the raw helpers of
+``decomposition`` and ``select_insert``; the only object it builds is the
+image ``Partition``.  After every removal and insertion an O(k) check
+confirms that each side partition still fits its width gap, and a failure
+raises InternalInvariantViolation naming the input and the parameters.
+"""
 
 from __future__ import annotations
 
-from .decomposition import DurfeeDecomposition, compose, decompose, profile
+from .decomposition import _compose_raw, _decompose_raw, _gaps
 from .errors import (
     ImpracticalOrder,
+    InsertionUnderflow,
     InternalInvariantViolation,
     InvalidDecomposition,
     RankTooLarge,
     RankTooSmall,
     ZeroWidthRectangle,
 )
-from .partition import MAX_PARTS, Partition
-from .rank import _rank_km_full, dyson_rank
-from .select_insert import (
-    PartitionSequence,
-    insert,
-    iterate_remove,
-    remove_selected,
-    select,
-)
+from .partition import MAX_PARTS, Partition, _conjugate_parts
+from .rank import _rank_raw, dyson_rank
+from .select_insert import _check_bounds, _insert_raw, _iterate_remove_raw, _remove_raw
 
 
 def dyson_map(lam: Partition, r: int) -> Partition:
@@ -46,27 +48,27 @@ def gen_conjugate(lam: Partition, k: int) -> Partition:
     old below-partition back into the sides, smallest first.  Exchanges the
     selection total with the number of parts below; widths are preserved.
     """
-    d = decompose(lam, k, 0)
-    n_k = d.widths[-1]
-    bounds = profile(d)
-    seq = PartitionSequence(d.sides, bounds)
-    totals, residue = iterate_remove(seq, n_k)
+    widths, sides, below = _decompose_raw(lam.parts, k, 0)
+    n_k = widths[-1]
+    bounds = _gaps(widths)
 
-    alpha_cols = d.below.conjugate().parts
-    cur = residue
+    def where():
+        return f"{lam.text()}, k={k}, m=0"
+
+    totals, cur = _iterate_remove_raw(sides, bounds, n_k, where)
+    alpha_cols = _conjugate_parts(below)
     for j in range(n_k, 0, -1):
         col = alpha_cols[j - 1] if j <= len(alpha_cols) else 0
-        if col < select(cur).total:
+        try:
+            cur = _insert_raw(col, cur, bounds)
+        except InsertionUnderflow:
             raise InternalInvariantViolation(
-                f"column insertion order broke a >= A: {lam.text()}, k={k}, m=0"
-            )
-        cur = insert(col, cur)
+                f"column insertion order broke a >= A: {where()}"
+            ) from None
+        _check_bounds(cur, bounds, where)
 
-    beta_cols = tuple(t for t in totals if t > 0)
-    new_below = Partition._fromparts(beta_cols).conjugate()
-    return compose(
-        DurfeeDecomposition(0, k, d.widths, cur.partitions, new_below)
-    )
+    new_below = _conjugate_parts(tuple([t for t in totals if t > 0]))
+    return Partition._fromparts(_compose_raw(0, k, widths, tuple(cur), new_below))
 
 
 def gen_dyson(lam: Partition, k: int, m: int, r: int) -> Partition:
@@ -78,22 +80,29 @@ def gen_dyson(lam: Partition, k: int, m: int, r: int) -> Partition:
     (k,m)-rank at most -r; the image then has selection total t - r, at
     most t parts below, and size |lam| - r - k(m+1).
     """
-    stats, d, _ = _rank_km_full(lam, k, m)
-    if any(w == 0 for w in d.widths):
+    widths, sides, below, _, parts = _rank_raw(lam.parts, k, m)
+    if any(w == 0 for w in widths):
         raise ZeroWidthRectangle(f"{lam.text()} has a zero-width {m}-Durfee rectangle")
-    if stats.r > -r:
-        raise RankTooLarge(f"(k,m)-rank {stats.r} > {-r}")
-    t = stats.b
-    new_sides = insert(t - r, PartitionSequence(d.sides, profile(d)))
-    beta = Partition._fromparts(tuple(x - 1 for x in d.below.parts if x > 1))
-    new_widths = tuple(w - 1 for w in d.widths)
+    t = len(below)
+    rank = sum(parts) - t
+    if rank > -r:
+        raise RankTooLarge(f"(k,m)-rank {rank} > {-r}")
+
+    def where():
+        return f"{lam.text()}, k={k}, m={m}, r={r}"
+
+    bounds = _gaps(widths)
+    new_sides = _insert_raw(t - r, sides, bounds)
+    _check_bounds(new_sides, bounds, where)
+    beta = tuple([x - 1 for x in below if x > 1])
+    new_widths = tuple([w - 1 for w in widths])
     for w in new_widths:
         if w + (m + 2) < 1:
             raise InternalInvariantViolation(
-                f"image rectangle would have height < 1: {lam.text()}, k={k}, m={m}, r={r}"
+                f"image rectangle would have height < 1: {where()}"
             )
-    return compose(
-        DurfeeDecomposition(m + 2, k, new_widths, new_sides.partitions, beta)
+    return Partition._fromparts(
+        _compose_raw(m + 2, k, new_widths, tuple(new_sides), beta)
     )
 
 
@@ -109,38 +118,40 @@ def gen_dyson_inverse(mu: Partition, k: int, m: int, r: int) -> Partition:
     preimage of more than ``partition.MAX_PARTS`` parts raises
     ImpracticalOrder before any of it is built.
     """
-    stats, d, _ = _rank_km_full(mu, k, m + 2)
-    if stats.r < -r:
-        raise RankTooSmall(f"(k,m+2)-rank {stats.r} < {-r}")
-    for w in d.widths:
+    widths, sides, below, rows, parts = _rank_raw(mu.parts, k, m + 2)
+    a = sum(parts)
+    rank = a - len(below)
+    if rank < -r:
+        raise RankTooSmall(f"(k,m+2)-rank {rank} < {-r}")
+    for w in widths:
         if w + 1 + m < 1:
             raise InvalidDecomposition(
                 f"no preimage: width {w} would need an m-rectangle of height {w + 1 + m}"
             )
-    t = stats.a + r
+    t = a + r
     # every rectangle of the preimage has positive width, so it adds all its
     # w + 1 + m rows; the t rows below follow
-    parts = sum(d.widths) + k * (m + 1) + t
-    if parts > MAX_PARTS:
+    n_parts = sum(widths) + k * (m + 1) + t
+    if n_parts > MAX_PARTS:
         raise ImpracticalOrder(
             f"preimage of {mu.text()} under k={k}, m={m}, r={r} would have "
-            f"{parts} parts (cap {MAX_PARTS}); refusing"
+            f"{n_parts} parts (cap {MAX_PARTS}); refusing"
         )
-    trace, residue = remove_selected(PartitionSequence(d.sides, profile(d)))
-    if trace.total != stats.a:
+
+    def where():
+        return f"{mu.text()}, k={k}, m={m}, r={r}"
+
+    residue = _remove_raw(sides, rows)
+    _check_bounds(residue, _gaps(widths), where)
+    removed = sum(map(sum, sides)) - sum(map(sum, residue))
+    if removed != a:
         raise InternalInvariantViolation(
-            f"removal total {trace.total} disagrees with selection total {stats.a}: "
-            f"{mu.text()}, k={k}, m={m}, r={r}"
+            f"removal total {removed} disagrees with selection total {a}: {where()}"
         )
-    if len(d.below) > t:
+    if len(below) > t:
         raise InternalInvariantViolation(
-            f"below-partition taller than restored column of {t}: "
-            f"{mu.text()}, k={k}, m={m}, r={r}"
+            f"below-partition taller than restored column of {t}: {where()}"
         )
-    alpha = Partition._fromparts(
-        tuple(x + 1 for x in d.below.parts) + (1,) * (t - len(d.below))
-    )
-    new_widths = tuple(w + 1 for w in d.widths)
-    return compose(
-        DurfeeDecomposition(m, k, new_widths, residue.partitions, alpha)
-    )
+    alpha = tuple([x + 1 for x in below]) + (1,) * (t - len(below))
+    new_widths = tuple([w + 1 for w in widths])
+    return Partition._fromparts(_compose_raw(m, k, new_widths, tuple(residue), alpha))

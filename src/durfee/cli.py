@@ -1,14 +1,17 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 verification mismatch or selftest
-failure, 3 domain error.  Domain errors print ``error[<code>]: <message>``
-to stderr.
+failure, 3 domain error, 141 stdout closed by its reader before all output
+was written (as in ``durfee census 200 | head -1``; the status a shell gives
+a process ended by SIGPIPE).  Domain errors print
+``error[<code>]: <message>`` to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .bijections import gen_conjugate, gen_dyson, gen_dyson_inverse
@@ -22,6 +25,7 @@ from .rank import _rank_km_full, garvan_rank, rank_km
 USAGE_EXIT = 1
 MISMATCH_EXIT = 2
 DOMAIN_EXIT = 3
+PIPE_EXIT = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,7 +119,7 @@ def _cmd_rank(args) -> int:
             doc = st.to_json_dict(args.k, None)
             doc["statistic"] = "garvan"
         else:
-            st, _, trace = _rank_km_full(lam, args.k, args.m)
+            st, trace = _rank_km_full(lam, args.k, args.m)
             doc = st.to_json_dict(args.k, args.m)
             doc["statistic"] = "km"
             if args.trace:
@@ -244,7 +248,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so
+        # that the flush at interpreter exit cannot fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = PIPE_EXIT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -4,10 +4,16 @@ An m-rectangle is ``height = width + m`` with positive height; width may be
 zero only when m > 0.  The decomposition stacks maximal m-rectangles top to
 bottom: widths N_1 >= ... >= N_k, the side partition lambda^i to the right
 of rectangle i, and the below-partition alpha under rectangle k.
+
+``_decompose_raw`` and ``_compose_raw`` work on part tuples and are the
+single implementation of both directions.  ``decompose`` and ``compose``
+wrap them and build the ``Partition`` objects; the rank statistics and the
+bijections call the raw helpers and build objects only for their result.
 """
 
 from __future__ import annotations
 
+from operator import lt, sub
 from typing import NamedTuple
 
 from .errors import (
@@ -16,7 +22,7 @@ from .errors import (
     InvalidDecomposition,
     NoSuchDecomposition,
 )
-from .partition import MAX_PARTS, Partition
+from .partition import MAX_PARTS, Partition, _parts_text
 
 
 class DurfeeDecomposition(NamedTuple):
@@ -59,12 +65,18 @@ def decompose(lam: Partition, k: int, m: int) -> DurfeeDecomposition:
     partition (including the empty one) decomposes; for m <= 0 a partition
     may run out of rectangles of positive height.
     """
+    widths, sides, below = _decompose_raw(lam.parts, k, m)
+    fp = Partition._fromparts
+    return DurfeeDecomposition(m, k, widths, tuple(map(fp, sides)), fp(below))
+
+
+def _decompose_raw(ps: tuple[int, ...], k: int, m: int):
+    """``decompose`` on a part tuple: (widths, side part tuples, below parts)."""
     if k < 1:
         raise ValueError("k must be positive")
-    ps = lam.parts
     ell = len(ps)
     widths = []
-    offsets = []
+    sides = []
     off = 0
     w_min = max(0, 1 - m)
     for i in range(k):
@@ -73,57 +85,50 @@ def decompose(lam: Partition, k: int, m: int) -> DurfeeDecomposition:
             row = off + w + m
             if row > ell or ps[row - 1] < w:
                 raise NoSuchDecomposition(
-                    f"{lam.text()} has no {_ordinal(i + 1)} {m}-Durfee rectangle"
+                    f"{_parts_text(ps)} has no {_ordinal(i + 1)} {m}-Durfee rectangle"
                 )
-        while True:
-            nxt = off + (w + 1) + m
-            if nxt <= ell and ps[nxt - 1] >= w + 1:
-                w += 1
-            else:
-                break
-        widths.append(w)
+        # part o_{i-1} + w + 1 + m, the last row of a rectangle of width
+        # w + 1, sits at index base + w
+        base = off + m
+        while base + w < ell and ps[base + w] > w:
+            w += 1
+        start = off
         off += w + m
-        offsets.append(off)
-    sides = []
-    start = 0
-    for i in range(k):
-        w = widths[i]
-        rows = []
-        end = offsets[i]
+        widths.append(w)
         # rows past the last part must lie in width-0 rectangles and add
         # nothing, so the walk over all rectangles is O(ell) whatever m
+        end = off
         if end > ell:
             if w:
                 raise InternalInvariantViolation(
                     f"rectangle {i + 1} of width {w} runs past the last part: "
-                    f"{lam.text()}, k={k}, m={m}"
+                    f"{_parts_text(ps)}, k={k}, m={m}"
                 )
             end = ell
-        for j in range(start + 1, end + 1):
-            v = ps[j - 1] - w
-            if v < 0:
-                raise InternalInvariantViolation(
-                    f"row {j} of rectangle {i + 1} is narrower than its width {w}: "
-                    f"{lam.text()}, k={k}, m={m}"
-                )
-            if v > 0:
-                rows.append(v)
-        sides.append(Partition._fromparts(tuple(rows)))
-        start = offsets[i]
-    below = Partition._fromparts(ps[offsets[-1]:])
-    d = DurfeeDecomposition(m, k, tuple(widths), tuple(sides), below)
+        if not w:
+            sides.append(ps[start:end])
+            continue
+        if start < end and ps[end - 1] < w:
+            j = next(j for j in range(start + 1, end + 1) if ps[j - 1] < w)
+            raise InternalInvariantViolation(
+                f"row {j} of rectangle {i + 1} is narrower than its width {w}: "
+                f"{_parts_text(ps)}, k={k}, m={m}"
+            )
+        sides.append(tuple([x - w for x in ps[start:end] if x > w]))
+    below = ps[off:]
     # bound checks: guaranteed by maximality of the greedy widths
     for i in range(1, k):
-        if sides[i].largest > widths[i - 1] - widths[i]:
+        side = sides[i]
+        if side and side[0] > widths[i - 1] - widths[i]:
             raise InternalInvariantViolation(
                 f"side partition {i + 1} exceeds its width gap "
-                f"{widths[i - 1] - widths[i]}: {lam.text()}, k={k}, m={m}"
+                f"{widths[i - 1] - widths[i]}: {_parts_text(ps)}, k={k}, m={m}"
             )
-    if below.largest > widths[-1]:
+    if below and below[0] > widths[-1]:
         raise InternalInvariantViolation(
-            f"below-partition wider than last rectangle: {lam.text()}, k={k}, m={m}"
+            f"below-partition wider than last rectangle: {_parts_text(ps)}, k={k}, m={m}"
         )
-    return d
+    return tuple(widths), tuple(sides), below
 
 
 def compose(d: DurfeeDecomposition) -> Partition:
@@ -134,8 +139,13 @@ def compose(d: DurfeeDecomposition) -> Partition:
     ImpracticalOrder, before any row is built, when the result would have
     more than MAX_PARTS parts.
     """
-    _validate(d)
-    m, k, widths, sides, below = d
+    sides = tuple(side.parts for side in d.sides)
+    return Partition._fromparts(_compose_raw(d.m, d.k, d.widths, sides, d.below.parts))
+
+
+def _compose_raw(m, k, widths, sides, below) -> tuple[int, ...]:
+    """``compose`` on part tuples: the parts of the reassembled partition."""
+    _validate(m, k, widths, sides, below)
     # a width-0 rectangle adds only its side's rows, whatever m
     heights = [w + m if w else len(side) for w, side in zip(widths, sides)]
     parts = sum(heights) + len(below)
@@ -145,43 +155,49 @@ def compose(d: DurfeeDecomposition) -> Partition:
         )
     rows = []
     for w, side, height in zip(widths, sides, heights):
-        side = side.parts
-        for j in range(height):
-            rows.append(w + (side[j] if j < len(side) else 0))
-    rows.extend(below.parts)
-    for a, b in zip(rows, rows[1:]):
-        if a < b:
-            raise InvalidDecomposition("assembled rows are not weakly decreasing")
-    lam = Partition._fromparts(tuple(rows))
-    redo = decompose(lam, k, m)
-    if redo.widths != widths:
+        if w:
+            rows += [w + x for x in side]
+            rows += [w] * (height - len(side))
+        else:
+            rows += side
+    rows += below
+    if any(map(lt, rows, rows[1:])):
+        raise InvalidDecomposition("assembled rows are not weakly decreasing")
+    rows = tuple(rows)
+    redo = _decompose_raw(rows, k, m)[0]
+    if redo != widths:
         raise InvalidDecomposition(
-            f"widths {widths} are not maximal for {lam.text()} (greedy gives {redo.widths})"
+            f"widths {widths} are not maximal for {_parts_text(rows)} (greedy gives {redo})"
         )
-    return lam
+    return rows
 
 
 def profile(d: DurfeeDecomposition) -> tuple[int, ...]:
     """Width gaps p_i = N_{i-1} - N_i for i = 2..k; the selection bounds."""
-    return tuple(d.widths[i - 1] - d.widths[i] for i in range(1, d.k))
+    return _gaps(d.widths)
 
 
-def _validate(d: DurfeeDecomposition) -> None:
-    if d.k < 1 or len(d.widths) != d.k or len(d.sides) != d.k:
+def _gaps(widths: tuple[int, ...]) -> tuple[int, ...]:
+    """``profile`` of a width tuple."""
+    return tuple(map(sub, widths, widths[1:]))
+
+
+def _validate(m, k, widths, sides, below) -> None:
+    if k < 1 or len(widths) != k or len(sides) != k:
         raise InvalidDecomposition("k, widths and sides are inconsistent")
-    for i, w in enumerate(d.widths):
+    for i, w in enumerate(widths):
         if w < 0:
             raise InvalidDecomposition("negative width")
-        if w + d.m < 1:
+        if w + m < 1:
             raise InvalidDecomposition(f"rectangle {i + 1} has non-positive height")
-        if i > 0 and w > d.widths[i - 1]:
+        if i > 0 and w > widths[i - 1]:
             raise InvalidDecomposition("widths must be weakly decreasing")
-    for i in range(d.k):
-        if len(d.sides[i]) > d.widths[i] + d.m:
+    for i, side in enumerate(sides):
+        if len(side) > widths[i] + m:
             raise InvalidDecomposition(f"side partition {i + 1} has too many parts")
-        if i > 0 and d.sides[i].largest > d.widths[i - 1] - d.widths[i]:
+        if i > 0 and side and side[0] > widths[i - 1] - widths[i]:
             raise InvalidDecomposition(f"side partition {i + 1} is too wide")
-    if d.below.largest > d.widths[-1]:
+    if below and below[0] > widths[-1]:
         raise InvalidDecomposition("below-partition is wider than the last rectangle")
 
 

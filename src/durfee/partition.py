@@ -76,27 +76,11 @@ class Partition:
         The conjugate has as many parts as the largest part; past MAX_PARTS
         it raises ImpracticalOrder before building any of them.
         """
-        ps = self.parts
-        if not ps:
-            return _EMPTY
-        if ps[0] > MAX_PARTS:
-            raise ImpracticalOrder(
-                f"conjugate of a partition with largest part {ps[0]} would have "
-                f"{ps[0]} parts (cap {MAX_PARTS}); refusing"
-            )
-        out = []
-        n = len(ps)
-        j = n - 1
-        for c in range(1, ps[0] + 1):
-            # number of parts >= c; parts are sorted, so scan from the tail
-            while j >= 0 and ps[j] < c:
-                j -= 1
-            out.append(j + 1)
-        return Partition._fromparts(tuple(out))
+        return Partition._fromparts(_conjugate_parts(self.parts))
 
     def text(self) -> str:
         """Text form: comma-separated parts, '-' for the empty partition."""
-        return ",".join(str(x) for x in self.parts) if self.parts else "-"
+        return _parts_text(self.parts)
 
     @classmethod
     def from_text(cls, s: str) -> "Partition":
@@ -131,6 +115,30 @@ class Partition:
 
 
 _EMPTY = Partition._fromparts(())
+
+
+def _parts_text(ps) -> str:
+    """``Partition.text`` of a part tuple."""
+    return ",".join(map(str, ps)) if ps else "-"
+
+
+def _conjugate_parts(ps: tuple[int, ...]) -> tuple[int, ...]:
+    """``Partition.conjugate`` on a part tuple, with the same MAX_PARTS refusal."""
+    if not ps:
+        return ()
+    if ps[0] > MAX_PARTS:
+        raise ImpracticalOrder(
+            f"conjugate of a partition with largest part {ps[0]} would have "
+            f"{ps[0]} parts (cap {MAX_PARTS}); refusing"
+        )
+    out = []
+    j = len(ps) - 1
+    for c in range(1, ps[0] + 1):
+        # number of parts >= c; parts are sorted, so scan from the tail
+        while j >= 0 and ps[j] < c:
+            j -= 1
+        out.append(j + 1)
+    return tuple(out)
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:

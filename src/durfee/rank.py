@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .decomposition import DurfeeDecomposition, compose, decompose, profile
+from .decomposition import _compose_raw, _decompose_raw, _gaps
 from .errors import EmptyPartition, InternalInvariantViolation
-from .partition import Partition
-from .select_insert import PartitionSequence, SelectionTrace, select
+from .partition import Partition, _conjugate_parts
+from .select_insert import SelectionTrace, _select_raw
 
 
 class RankStats(NamedTuple):
@@ -43,25 +43,36 @@ def dyson_rank(lam: Partition) -> int:
 
 def rank_km(lam: Partition, k: int, m: int) -> RankStats:
     """(k,m)-rank: a = selection total over the sides, b = parts below."""
-    stats, _, _ = _rank_km_full(lam, k, m)
-    return stats
+    widths, _, below, _, parts = _rank_raw(lam.parts, k, m)
+    a = sum(parts)
+    b = len(below)
+    return RankStats(a, b, a - b, widths)
 
 
-def _rank_km_full(
-    lam: Partition, k: int, m: int
-) -> tuple[RankStats, DurfeeDecomposition, SelectionTrace]:
-    d = decompose(lam, k, m)
-    seq = PartitionSequence(d.sides, profile(d))
-    trace = select(seq)
-    n_k = d.widths[-1]
-    for i, j in enumerate(trace.rows):
+def _rank_km_full(lam: Partition, k: int, m: int) -> tuple[RankStats, SelectionTrace]:
+    """``rank_km`` together with the selection trace it read."""
+    widths, _, below, rows, parts = _rank_raw(lam.parts, k, m)
+    a = sum(parts)
+    b = len(below)
+    return RankStats(a, b, a - b, widths), SelectionTrace(tuple(rows), tuple(parts), a)
+
+
+def _rank_raw(ps: tuple[int, ...], k: int, m: int):
+    """Raw decomposition of ``ps`` and its selection walk over the sides.
+
+    Returns (widths, sides, below, rows, parts), the sides and below as
+    part tuples and the selected rows and parts as lists.
+    """
+    widths, sides, below = _decompose_raw(ps, k, m)
+    rows, parts = _select_raw(sides, _gaps(widths))
+    n_k = widths[-1]
+    for i, j in enumerate(rows):
         # selection never reaches below rectangle i: j <= 1 + N_i - N_k <= N_i + m
-        if j > 1 + d.widths[i] - n_k:
+        if j > 1 + widths[i] - n_k:
             raise InternalInvariantViolation(
                 f"selected row {j} in side {i + 1} exceeds 1 + N_i - N_k"
             )
-    b = len(d.below)
-    return RankStats(trace.total, b, trace.total - b, d.widths), d, trace
+    return widths, sides, below, rows, parts
 
 
 def garvan_rank(lam: Partition, k: int) -> RankStats:
@@ -71,11 +82,12 @@ def garvan_rank(lam: Partition, k: int) -> RankStats:
     lambda^1 reaches c, so a = lambda^1_1 - lambda^1_{N_k+1}: O(1) for any
     part size.
     """
-    d = decompose(lam, k, 0)
-    side = d.sides[0]
-    a = side.largest - side.part(d.widths[-1] + 1)
-    b = len(d.below)
-    return RankStats(a, b, a - b, d.widths)
+    widths, sides, below = _decompose_raw(lam.parts, k, 0)
+    side = sides[0]
+    n_k = widths[-1]
+    a = (side[0] if side else 0) - (side[n_k] if n_k < len(side) else 0)
+    b = len(below)
+    return RankStats(a, b, a - b, widths)
 
 
 def garvan_conjugate(lam: Partition, k: int) -> Partition:
@@ -86,20 +98,13 @@ def garvan_conjugate(lam: Partition, k: int) -> Partition:
     the new lambda^1.  Involutive; negates Garvan's statistic and preserves
     the square widths.
     """
-    d = decompose(lam, k, 0)
-    n_k = d.widths[-1]
-    cols = d.sides[0].conjugate().parts
+    widths, sides, below = _decompose_raw(lam.parts, k, 0)
+    n_k = widths[-1]
+    cols = _conjugate_parts(sides[0])
     tall = [h for h in cols if h > n_k]
     short = [h for h in cols if h <= n_k]
     # old below-rows are <= N_k wide, so they slot in after the tall columns
-    new_cols = tuple(tall) + d.below.parts
-    new_first = Partition._fromparts(new_cols).conjugate()
-    new_below = Partition._fromparts(tuple(short))
-    out = DurfeeDecomposition(
-        m=0,
-        k=k,
-        widths=d.widths,
-        sides=(new_first,) + d.sides[1:],
-        below=new_below,
+    new_first = _conjugate_parts(tuple(tall) + below)
+    return Partition._fromparts(
+        _compose_raw(0, k, widths, (new_first,) + sides[1:], tuple(short))
     )
-    return compose(out)

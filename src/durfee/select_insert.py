@@ -13,6 +13,12 @@ lambda^i so that the bounds still hold and the new selection total is a.
 The inserted parts are precisely the parts selected afterwards, which is
 why selection-plus-removal undoes insertion.  Insertion adds its cells in
 jumps (see ``insert``), so its cost does not depend on a.
+
+The helpers on raw part tuples and lists (``_select_raw``, ``_remove_raw``,
+``_base_insert_raw``, ``_grow_raw``, ``_insert_raw``, ``_iterate_remove_raw``)
+are the single implementation.  The public operations on
+``PartitionSequence`` wrap them; the rank statistics and the bijections call
+them directly, so no sequence object is built per step.
 """
 
 from __future__ import annotations
@@ -173,13 +179,44 @@ def _grow_raw(work, bounds, cells, selected=None):
 
 
 def _insert_raw(a, seqs, bounds):
+    """``insert`` on part tuples/lists; returns a list of part tuples.
+
+    Runs one selection walk, which also serves the a >= A check: the base
+    insertion keeps every selected row and part, so the walk is still valid
+    for the first jump.
+    """
     rows, parts = _select_raw(seqs, bounds)
     total = sum(parts)
     if a < total:
         raise InsertionUnderflow(f"cannot insert {a} < selection total {total}")
     work = _base_insert_raw(seqs, rows, parts)
-    _grow_raw(work, bounds, a - total)
+    _grow_raw(work, bounds, a - total, (rows, parts))
     return [tuple(w) for w in work]
+
+
+def _iterate_remove_raw(seqs, bounds, t, where):
+    """``iterate_remove`` on part tuples: (removed totals, residue tuples).
+
+    After each removal the O(k) bound check runs; ``where()`` names the
+    input in the InternalInvariantViolation it raises.
+    """
+    totals = []
+    for _ in range(t):
+        rows, parts = _select_raw(seqs, bounds)
+        seqs = _remove_raw(seqs, rows)
+        _check_bounds(seqs, bounds, where)
+        totals.append(sum(parts))
+    return totals, seqs
+
+
+def _check_bounds(seqs, bounds, where):
+    """Raise InternalInvariantViolation unless largest(lambda^i) <= p_i."""
+    for i, p in enumerate(bounds, 1):
+        s = seqs[i]
+        if s and s[0] > p:
+            raise InternalInvariantViolation(
+                f"partition {i + 1} has largest part {s[0]} > bound {p}: {where()}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +281,9 @@ def iterate_remove(
     """
     if t < 0:
         raise ValueError("t must be non-negative")
-    totals = []
-    cur = seq
-    for _ in range(t):
-        trace, cur = remove_selected(cur)
-        totals.append(trace.total)
-    return tuple(totals), cur
+    totals, residue = _iterate_remove_raw(
+        seq.part_tuples(), seq.bounds, t, lambda: repr(seq)
+    )
+    return tuple(totals), PartitionSequence(
+        tuple(Partition._fromparts(tuple(s)) for s in residue), seq.bounds
+    )

@@ -74,13 +74,30 @@ def test_internal_violation_names_input_and_parameters(monkeypatch):
     lam = P([10, 8, 8, 6, 5, 3, 3, 2, 2, 2, 1, 1, 1])
     mu = gen_dyson(lam, 2, 0, 0)
     assert gen_dyson_inverse(mu, 2, 0, 0) == lam
-    real = bij.remove_selected
+    real = bij._remove_raw
 
-    def off_by_one(seq):
-        trace, rest = real(seq)
-        return trace._replace(total=trace.total + 1), rest
+    def off_by_one(seqs, rows):
+        return real(seqs, [j + 1 for j in rows])
 
-    monkeypatch.setattr(bij, "remove_selected", off_by_one)
+    monkeypatch.setattr(bij, "_remove_raw", off_by_one)
     with pytest.raises(InternalInvariantViolation) as err:
         gen_dyson_inverse(mu, 2, 0, 0)
     assert f"{mu.text()}, k=2, m=0, r=0" in str(err.value)
+
+
+def test_conjugate_violation_names_input_and_parameters(monkeypatch):
+    import durfee.select_insert as si
+
+    lam = P([9, 8, 8, 6, 5, 4, 3, 2, 2, 2, 1, 1, 1, 1, 1])
+    assert gen_conjugate(gen_conjugate(lam, 2), 2) == lam
+
+    def remove_nothing(seqs, rows):
+        return list(seqs)
+
+    # the sides keep their selected parts, so the smallest column put back
+    # is below the selection total
+    monkeypatch.setattr(si, "_remove_raw", remove_nothing)
+    with pytest.raises(InternalInvariantViolation) as err:
+        gen_conjugate(lam, 2)
+    assert "column insertion order broke a >= A" in str(err.value)
+    assert f"{lam.text()}, k=2, m=0" in str(err.value)

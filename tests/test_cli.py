@@ -188,6 +188,33 @@ def test_cli_import_leaves_selftest_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_closed_pipe_exits_without_traceback(tmp_path):
+    # the reader takes one line and goes; with far more output than a pipe
+    # buffers, the next write fails, and the CLI must exit without a traceback
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    batch = tmp_path / "batch.txt"
+    batch.write_text("5,5,4,1\n" * 150_000)
+    calls = (
+        (["conjugate", "--stdin"], batch, {cli.PIPE_EXIT}),
+        # little output: the pipe may close before or after the last write
+        (["census", "200", "--k", "2000", "--m", "1"], None, {0, cli.PIPE_EXIT}),
+    )
+    for argv, stdin, codes in calls:
+        with open(stdin or os.devnull) as feed:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "durfee.cli", *argv], env=env,
+                stdin=feed, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            )
+            assert proc.stdout.readline(), argv
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            proc.stderr.close()
+            code = proc.wait(timeout=60)
+        assert "Traceback" not in err and "Exception" not in err, (argv, err)
+        assert code in codes, (argv, code, err)
+
+
 def _small_or(big):
     return st.one_of(st.integers(-3, 40), big)
 
@@ -239,10 +266,34 @@ def _argv(draw):
     return argv
 
 
+_KMAX, _BIG, _NMAX = "100000", "1000000000000", "1000000000000000000"
+# the draws rarely reach the ends of their ranges, so each command's
+# extremes are pinned: a part of 10^12, k = 10^5, m and r = +-10^12,
+# census n = 10^18 and verify order 10^8
+_EXTREMES = [
+    ["conjugate", _BIG],
+    ["conjugate", "5,4", "--k", _KMAX],
+    ["rank", _BIG, "--k", "1", "--m", "0", "--garvan", "--trace"],
+    ["rank", "5,4", "--k", _KMAX, "--m", _BIG, "--trace"],
+    ["rank", "5,4", "--k", _KMAX, "--m", "0", "--garvan"],
+    ["decompose", "5,4", "--k", _KMAX, "--m", _BIG],
+    ["decompose", "5,4", "--k", _KMAX, "--m", "-" + _BIG],
+    ["dyson", "5,4", "--k", _KMAX, "--m", _BIG, "--r", "-" + _BIG],
+    ["dyson", "5,4", "--k", "1", "--m", "0", "--r", "-" + _BIG],
+    ["dyson", "5,4", "--k", _KMAX, "--m", _BIG, "--r", _BIG, "--inverse"],
+    ["dyson", "5,4", "--k", "1", "--m", "-" + _BIG, "--r", "-" + _BIG, "--inverse"],
+    ["dyson", "5,4", "--k", "1", "--m", "0", "--r", _BIG, "--inverse"],
+    ["census", _NMAX, "--k", _KMAX, "--m", _BIG],
+    ["census", _NMAX, "--k", "1", "--m", "-" + _BIG],
+    ["census", "40", "--k", _KMAX, "--m", _BIG],
+    *(["verify", name, "--order", "100000000", "--k", _KMAX, "--a", "8",
+       "--m", _BIG, "--r", "-" + _BIG] for name in IDENTITIES),
+    ["verify", "h_closed_form", "--order", "40", "--k", _KMAX, "--m", _BIG, "--r", _BIG],
+]
+
+
 @settings(max_examples=300, deadline=timedelta(seconds=10), derandomize=True)
 @given(_argv())
-@example(["conjugate", "1000000000000"])  # a part this big is rare among the draws
-@example(["rank", "1000000000000", "--k", "1", "--m", "0", "--garvan", "--trace"])
 def test_cli_fuzz_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     try:
@@ -255,3 +306,7 @@ def test_cli_fuzz_exits_cleanly(argv):
     assert "Traceback" not in err.getvalue(), argv
     if code in (1, 3):
         assert "error[" in err.getvalue(), argv
+
+
+for _extreme in _EXTREMES:
+    test_cli_fuzz_exits_cleanly = example(_extreme)(test_cli_fuzz_exits_cleanly)
