@@ -1,21 +1,24 @@
 """Rank censuses over all partitions of n, read off a generating function.
 
 The counts come from one engine, ``_rank_series``: Andrews' Durfee
-dissection with a second variable z marking the (k,m)-rank, expanded on
-exact 2-D integer arrays.  Enumerating and ranking every partition of n is
-kept only as the oracle: the ``census`` selftest suite compares the two.
+dissection with a second variable z marking the (k,m)-rank, expanded
+exactly on packed rank rows, one big integer per power of q with a slot per
+rank, so each z-kernel pass is one shift-add per row.  Enumerating and
+ranking every partition of n is kept only as the oracle: the ``census``
+selftest suite compares the two.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from functools import lru_cache
-from operator import add, sub
+from operator import sub
 from typing import NamedTuple
 
 from .errors import ImpracticalOrder, InternalInvariantViolation
-from .partition import p_table
-from .qseries import MAX_SERIES_COST, _durfee_levels, _levels_plan, _refuse_above_cap, q_table
+from .partition import MAX_SERIES_COST, _refuse_above_cap, p_table
+from .qseries import _durfee_levels, _levels_plan, q_table
 
 # census and h_count of n read the series to n rounded up to this step, so
 # a sweep over n computes one series per (k, m) and step.
@@ -47,12 +50,15 @@ class CensusTable(NamedTuple):
 def _series_plan(k: int, m: int, order: int) -> tuple[list, list[list[tuple[int, int]]], int]:
     """The ``qseries._levels_plan`` of the H_k(w) that ``_rank_series(k, m,
     order)`` sums, the z-kernel passes (s, dz), each 1/(1 - z^dz q^s), that
-    follow each H_k(w), widest w first, and the additions of both.
+    follow each H_k(w), widest w first, and the price of both: the
+    additions of the levels and the cells the passes move.
 
-    A pass adds row n - s into row n for every n >= s: (order + 1 - s)^2
-    additions, none for s > order, so those are left out.  When no width
-    survives k levels, the (order + 1)^2 cells of the zero rows are the
-    price; they also refuse a huge order before any width is listed.
+    A pass shift-adds packed row n - s into row n for every n >= s, one
+    big-integer operation that moves the 2(n - s) + 1 rank cells of row
+    n - s: (order + 1 - s)^2 cells, none for s > order, so those are left
+    out.  When no width survives k levels, the (order + 1)^2 cells of the
+    zero rows are the price; they also refuse a huge order before any width
+    is listed.
     """
     cells = (order + 1) ** 2
     if cells > MAX_SERIES_COST:
@@ -68,15 +74,24 @@ def _series_plan(k: int, m: int, order: int) -> tuple[list, list[list[tuple[int,
     return levels, passes, cost + sum((order + 1 - s) ** 2 for after in passes for s, _ in after)
 
 
-def _times_z_geometric(rows: list[list[int]], s: int, dz: int) -> None:
-    # rows[n][n + r] is the coefficient of q^n z^r (|r| <= n); multiply in
-    # place by 1/(1 - z^dz q^s) for dz = +-1 and s >= 1
-    shift = s + dz
+def _shift_add_rows(rows: list[int], s: int, shift: int) -> None:
+    # one z-kernel pass 1/(1 - z^dz q^s) on packed rows, shift = slot bits
+    # times s + dz >= 0: row n gains row n - s moved up s + dz rank slots
     for n in range(s, len(rows)):
-        src = rows[n - s]
-        dst = rows[n]
-        end = shift + len(src)
-        dst[shift:end] = map(add, dst[shift:end], src)
+        rows[n] += rows[n - s] << shift
+
+
+def _unpack_row(row: int, slots: int, words: int) -> tuple[int, ...]:
+    # the slots of words 64-bit words each, lowest first, as integers
+    ws = memoryview(row.to_bytes(8 * words * slots, sys.byteorder)).cast("Q").tolist()
+    if sys.byteorder == "big":  # whole-integer byte order reverses the words
+        ws.reverse()
+    if words == 1:
+        return tuple(ws)
+    cells = ws[::words]
+    for j in range(1, words):
+        cells = [w << 64 * j | c if w else c for c, w in zip(cells, ws[j::words])]
+    return tuple(cells)
 
 
 # Bounded in entries, not bytes (sizes in the docstring).  32 entries hold
@@ -84,7 +99,7 @@ def _times_z_geometric(rows: list[list[int]], s: int, dz: int) -> None:
 @lru_cache(maxsize=32)
 def _rank_series(k: int, m: int, order: int) -> tuple[tuple[int, ...], ...]:
     """Counts of (k,m)-rank values for every n <= order; one entry holds
-    14.6 MB by tracemalloc at k = 1, order 600, and 26 MB at k = 3, order 792.
+    13.2 MB by tracemalloc at k = 1, order 600, and 23.8 MB at k = 3, order 792.
 
     Row n holds the ranks -n..n, rank r at index n + r: the coefficient of
     q^n z^r in
@@ -113,9 +128,19 @@ def _rank_series(k: int, m: int, order: int) -> tuple[tuple[int, ...], ...]:
     z-kernel acc = H_k(w) + acc / ((1 - z q^(w+1+m)) (1 - q^(w+1)/z)), and
     the last passes apply 1/((zq)_{w+m} (q/z)_w) at the narrowest w; the
     passes after each w are listed by ``_series_plan``.
-    For m >= 0 every row total is checked against p(n), less q_{k-1}(n) at
-    m = 0 (partitions with at most k - 1 Durfee squares have no k
-    0-rectangles), and a mismatch raises InternalInvariantViolation.
+
+    Each row is one non-negative integer with a slot of ``width`` bits per
+    rank, cell (n, r) at bit offset width * (n + r).  H_k(w) adds c << width
+    * n to row n, and a pass 1/(1 - z^dz q^s) adds row n - s shifted by
+    width * (s + dz) to row n for n ascending: one big-integer shift-add per
+    row.  Every term added is non-negative, so no cell ever exceeds its
+    final value, which at z = 1 counts partitions of n and so is at most
+    p(n) <= p(order); a slot of whole 64-bit words wider than p(order)
+    never carries into the next.  A packed row with bits above its top slot
+    raises InternalInvariantViolation.  The rows are unpacked once, at the
+    end.  For m >= 0 every row total is checked against p(n), less
+    q_{k-1}(n) at m = 0 (partitions with at most k - 1 Durfee squares have
+    no k 0-rectangles), and a mismatch raises InternalInvariantViolation.
     Raises ImpracticalOrder when the price of that plan exceeds MAX_SERIES_COST.
     """
     if k < 1:
@@ -124,23 +149,32 @@ def _rank_series(k: int, m: int, order: int) -> tuple[tuple[int, ...], ...]:
         raise ValueError("order must be non-negative")
     levels, passes, cost = _series_plan(k, m, order)
     _refuse_above_cap(cost, f"rank series k={k} m={m} to order {order}")
-    rows = [[0] * (2 * n + 1) for n in range(order + 1)]
+    counts = p_table(order)
+    words = counts[-1].bit_length() // 64 + 1
+    width = 64 * words
+    rows = [0] * (order + 1)
     for terms, after in zip(reversed(_durfee_levels(levels, order)), passes):
         for n, c in enumerate(terms):
             if c:
-                rows[n][n] += c
+                rows[n] += c << width * n
         for s, dz in after:
-            _times_z_geometric(rows, s, dz)
+            _shift_add_rows(rows, s, width * (s + dz))
+    for n, row in enumerate(rows):  # in place, so the packed table is freed as it goes
+        if row >> width * (2 * n + 1):
+            raise InternalInvariantViolation(
+                f"packed census row n={n} overflows its {2 * n + 1} slots of {width} bits"
+                f" for k={k}, m={m}"
+            )
+        rows[n] = _unpack_row(row, 2 * n + 1, words)
     if m >= 0:
-        expect = p_table(order)
         if m == 0:
-            expect = list(map(sub, expect, q_table(k - 1, order)))
-        for n, (row, want) in enumerate(zip(rows, expect)):
+            counts = list(map(sub, counts, q_table(k - 1, order)))
+        for n, (row, want) in enumerate(zip(rows, counts)):
             if sum(row) != want:
                 raise InternalInvariantViolation(
                     f"census total {sum(row)} != expected {want} for n={n}, k={k}, m={m}"
                 )
-    return tuple(map(tuple, rows))
+    return tuple(rows)
 
 
 def _rank_row(n: int, k: int, m: int) -> tuple[int, ...]:

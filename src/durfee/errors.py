@@ -53,8 +53,10 @@ class ImpracticalOrder(DurfeeError):
     """A series or a partition was requested at a size too costly to compute.
 
     Raised before any work when the price of a series plan passes
-    ``qseries.MAX_SERIES_COST``: by the census engine, by ``multisum_lhs``
-    and by ``verify_identity``.  Raised before any part is built when a
+    ``partition.MAX_SERIES_COST``: by the census engine, by ``multisum_lhs``,
+    by ``verify_identity``, by ``p_table`` (so also ``inv_euler`` and
+    ``schur_rhs``) and by the products ``pochhammer``, ``rr_product`` and
+    ``jacobi_specialization``.  Raised before any part is built when a
     partition would have more than ``partition.MAX_PARTS`` parts: by
     ``Partition.conjugate`` (so also by ``gen_conjugate`` and
     ``garvan_conjugate``), by ``compose`` and by ``gen_dyson_inverse``.

@@ -13,6 +13,22 @@ from .errors import EmptyPartition, ImpracticalOrder
 # with ImpracticalOrder.
 MAX_PARTS = 1_000_000
 
+# Largest series computation accepted, in coefficient additions (rank cells
+# moved, for the census engine's passes).  The census engine, multisum_lhs,
+# verify_identity, p_table and the q-series products all price their work
+# before doing any and refuse past it with ImpracticalOrder.  Measured at
+# the caps on a 2-core VM (Python 3.11): the census engine 0.14 s (order 644,
+# k = 1) and 0.26 s (order 792, k = 3), multisum_lhs 1.6 s (order 2317,
+# large k), pochhammer(None, 6324) 1.0 s and p_table(69784) 5.5 s.
+MAX_SERIES_COST = 20_000_000
+
+
+def _refuse_above_cap(cost: int, what: str) -> None:
+    if cost > MAX_SERIES_COST:
+        raise ImpracticalOrder(
+            f"{what} needs {cost} coefficient additions (cap {MAX_SERIES_COST}); refusing"
+        )
+
 
 class Partition:
     """A weakly decreasing sequence of positive integer parts.
@@ -192,9 +208,15 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
 
 
 def p_table(N: int) -> list[int]:
-    """Exact values p(0..N) via the pentagonal-number recurrence."""
+    """Exact values p(0..N) via the pentagonal-number recurrence.
+
+    The price is its terms: N + 1 - g for every generalized pentagonal
+    number g <= N, about 1.09 N^1.5.  Past MAX_SERIES_COST (N > 69784) it
+    raises ImpracticalOrder before the table is allocated.
+    """
     if N < 0:
         raise ValueError("N must be non-negative")
+    _refuse_above_cap(_p_table_cost(N), f"p_table to {N}")
     p = [0] * (N + 1)
     p[0] = 1
     for n in range(1, N + 1):
@@ -212,6 +234,16 @@ def p_table(N: int) -> list[int]:
             j += 1
         p[n] = total
     return p
+
+
+def _p_table_cost(N: int) -> int:
+    # terms of p_table(N), counted until past the cap: g1 = j(3j-1)/2 and
+    # g2 = g1 + j each enter every n from g up to N
+    cost, j = 0, 1
+    while (g := j * (3 * j - 1) // 2) <= N and cost <= MAX_SERIES_COST:
+        cost += N + 1 - g + max(0, N + 1 - g - j)
+        j += 1
+    return cost
 
 
 def durfee_square_widths(lam: Partition) -> tuple[int, ...]:

@@ -7,13 +7,8 @@ from itertools import accumulate
 from operator import add, sub
 from typing import NamedTuple
 
-from .errors import ImpracticalOrder, UnknownIdentity, UnsupportedRegion
-from .partition import p_table
-
-# Largest series computation accepted, in coefficient additions (about 1 s
-# and 40 MB on a 2-core VM).  The census engine, multisum_lhs and
-# verify_identity all refuse past it with ImpracticalOrder.
-MAX_SERIES_COST = 20_000_000
+from .errors import UnknownIdentity, UnsupportedRegion
+from .partition import MAX_SERIES_COST, _refuse_above_cap, p_table
 
 
 class QSeries:
@@ -159,13 +154,29 @@ def _times_geometric(cs: list[int], n: int) -> None:
             cs[i : i + n] = map(add, cs[i : i + n], cs[i - n : i])
 
 
+def _passes_cost(order: int, first: int, step: int, last: int) -> int:
+    """Additions of the passes (1 - q^n)^(+-1) over order + 1 coefficients
+    for n = first, first + step, ... <= last: order + 1 - n each."""
+    if first > last:
+        return 0
+    count = (last - first) // step + 1
+    return count * (order + 1 - first) - step * count * (count - 1) // 2
+
+
 def pochhammer(n: int | None, order: int) -> QSeries:
-    """(q)_n = prod_{i=1..n} (1 - q^i); n=None means the infinite product."""
+    """(q)_n = prod_{i=1..n} (1 - q^i); n=None means the infinite product.
+
+    Priced like every product here: its passes (``_passes_cost``), but at
+    least its order + 1 coefficients; past MAX_SERIES_COST raises
+    ImpracticalOrder before any is allocated.
+    """
     if n is not None and n < 0:
         raise ValueError("n must be non-negative or None")
+    top = order if n is None else min(n, order)
+    cost = _passes_cost(order, 1, 1, top)
+    _refuse_above_cap(max(order + 1, cost), f"pochhammer to order {order}")
     cs = [0] * (order + 1)
     cs[0] = 1
-    top = order if n is None else min(n, order)
     for i in range(1, top + 1):
         _times_one_minus(cs, i)
     return QSeries(cs, order)
@@ -174,7 +185,8 @@ def pochhammer(n: int | None, order: int) -> QSeries:
 def inv_euler(order: int) -> QSeries:
     """1/(q)_infinity: the coefficient of q^n is p(n).
 
-    Read off ``p_table``, Euler's pentagonal recurrence, in O(order^1.5).
+    Read off ``p_table``, Euler's pentagonal recurrence, in O(order^1.5),
+    and refused as it refuses.
     """
     return QSeries(p_table(order), order)
 
@@ -293,13 +305,6 @@ def q_table(k: int, N: int) -> list[int]:
     return list(multisum_lhs(k + 1, None, N).coeffs)
 
 
-def _refuse_above_cap(cost: int, what: str) -> None:
-    if cost > MAX_SERIES_COST:
-        raise ImpracticalOrder(
-            f"{what} needs {cost} coefficient additions (cap {MAX_SERIES_COST}); refusing"
-        )
-
-
 def _theta(k: int, order: int) -> QSeries:
     """sum over all integers j of (-1)^j q^(j(j+1)(2k+1)/2 - k j)."""
     cs = [0] * (order + 1)
@@ -318,20 +323,27 @@ def _theta(k: int, order: int) -> QSeries:
 
 
 def schur_rhs(k: int, order: int) -> QSeries:
-    """Alternating-theta side: theta_k(q) / (q)_infinity."""
+    """Alternating-theta side: theta_k(q) / (q)_infinity.
+
+    ``inv_euler`` runs first, so an order it refuses allocates nothing.
+    """
     if k < 1:
         raise ValueError("k must be positive")
     return inv_euler(order) * _theta(k, order)
 
 
 def rr_product(k: int, a_shift: int, order: int) -> QSeries:
-    """Product over n not congruent to 0 or +-a_shift mod 2k+1 of 1/(1-q^n)."""
+    """Product over n not congruent to 0 or +-a_shift mod 2k+1 of 1/(1-q^n),
+    priced and refused like ``pochhammer``."""
     if k < 1:
         raise ValueError("k must be positive")
     if not 1 <= a_shift <= k:
         raise ValueError(f"a_shift must be in 1..{k}")
     mod = 2 * k + 1
     banned = {0, a_shift % mod, (-a_shift) % mod}
+    cost = _passes_cost(order, 1, 1, order)
+    cost -= sum(_passes_cost(order, b or mod, mod, order) for b in banned)
+    _refuse_above_cap(max(order + 1, cost), f"rr_product to order {order}")
     cs = [0] * (order + 1)
     cs[0] = 1
     for n in range(1, order + 1):
@@ -343,13 +355,16 @@ def rr_product(k: int, a_shift: int, order: int) -> QSeries:
 def jacobi_specialization(k: int, order: int) -> tuple[QSeries, QSeries]:
     """The theta sum and the matching sparse product; the two must agree.
 
-    The product runs over n congruent to 0 or +-k mod 2k+1 of (1 - q^n).
+    The product runs over n congruent to 0 or +-k mod 2k+1 of (1 - q^n),
+    priced and refused like ``pochhammer``.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    theta = _theta(k, order)
     mod = 2 * k + 1
     wanted = {0, k % mod, (-k) % mod}
+    cost = sum(_passes_cost(order, w or mod, mod, order) for w in wanted)
+    _refuse_above_cap(max(order + 1, cost), f"jacobi product to order {order}")
+    theta = _theta(k, order)
     cs = [0] * (order + 1)
     cs[0] = 1
     for n in range(1, order + 1):
@@ -363,8 +378,9 @@ def h_census_series(k: int, m: int, r: int, mode: str, order: int) -> QSeries:
 
     mode 'le' counts partitions with (k,m)-rank <= r, mode 'ge' with
     rank >= r.  Read off the census engine's bivariate rank series, which
-    raises ImpracticalOrder above ``MAX_SERIES_COST`` coefficient additions
-    (about 1 s): beyond order 644 for k = 1 and 792 for k = 3 at m = 0.
+    raises ImpracticalOrder above ``MAX_SERIES_COST`` coefficient additions:
+    beyond order 644 for k = 1 and 792 for k = 3 at m = 0, where a series
+    takes 0.14 s and 0.26 s on a 2-core VM.
     """
     from .census import _h, _rank_series  # census imports q_table from here
 

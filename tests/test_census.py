@@ -90,6 +90,25 @@ def test_engine_matches_enumeration_beyond_suite_range(n, k, m):
     assert rank_census(n, k, m) == _enumerated_census(n, k, m)
 
 
+def test_census_matches_dyson_rank_counts():
+    # Atkin and Swinnerton-Dyer: sum_n N(r, n) q^n = (1/(q)_inf) sum_{j >= 1}
+    # (-1)^(j-1) q^(j(3j-1)/2 + |r| j) (1 - q^j), an oracle independent of
+    # the engine.  At n = 600 the counts pass one 64-bit word.
+    p = p_table(600)
+
+    def dyson_count(r, n):
+        total, j = 0, 1
+        while (e := j * (3 * j - 1) // 2 + abs(r) * j) <= n:
+            total += (-1) ** (j - 1) * (p[n - e] - (p[n - e - j] if e + j <= n else 0))
+            j += 1
+        return total
+
+    for n in (1, 2, 5, 10, 50, 200, 300, 600):
+        want = {r: c for r in range(-n, n + 1) if (c := dyson_count(r, n))}
+        assert census(n, 1, 0).rows == want, n
+    assert max(want.values()).bit_length() == 73
+
+
 def test_census_n60_is_fast():
     # 966,467 partitions of 60: about 40 s by enumeration
     start = time.perf_counter()
@@ -155,10 +174,17 @@ def test_cost_estimates_count_every_addition(monkeypatch, k):
         count[0] = before
         return out
 
+    def shift_add_rows(rows, s, shift):
+        # one big-integer shift-add per row n >= s moves the 2(n - s) + 1
+        # rank cells of packed row n - s
+        count[0] += sum(2 * (n - s) + 1 for n in range(s, len(rows)))
+        real_shift_add_rows(rows, s, shift)
+
     real_q_table = census_module.q_table
+    real_shift_add_rows = census_module._shift_add_rows
     monkeypatch.setattr(qseries_module, "add", add)
     monkeypatch.setattr(qseries_module, "accumulate", accumulate)
-    monkeypatch.setattr(census_module, "add", add)
+    monkeypatch.setattr(census_module, "_shift_add_rows", shift_add_rows)
     monkeypatch.setattr(census_module, "q_table", q_table_uncounted)
     def multisum_exponent(j, v):
         return v * v + (v if j >= k else 0)

@@ -143,12 +143,14 @@ def test_domain_errors_exit_3(capsys):
     code, _, err = run(capsys, "verify", "h_closed_form", "--k", "1", "--m", "-1",
                        "--r", "1", "--order", "10")
     assert code == 3 and "error[UnsupportedRegion]" in err
-    # an image of about 10^12 parts is refused before any part is built
+    # an image of about 10^12 parts is refused before any part is built, and
+    # a census one past the engine's cap (644 at k = 1) before any series
     for argv in (
         ("dyson", "--inverse", "--k", "1", "--m", "1000000000000", "--r", "0", "5"),
         ("dyson", "--inverse", "--k", "1", "--m", "0", "--r", "1000000000000", "5"),
         ("conjugate", "1000000000000"),
         ("conjugate", "--k", "1", "1000000000000"),
+        ("census", "645", "--k", "1"),
     ):
         t = time.perf_counter()
         code, out, err = run(capsys, *argv)

@@ -19,7 +19,8 @@ from durfee import (
     verify_identity,
 )
 from durfee.errors import ImpracticalOrder, UnknownIdentity, UnsupportedRegion
-from durfee.qseries import MAX_SERIES_COST, _first_mismatch, _levels_plan, _mul
+from durfee.partition import _p_table_cost
+from durfee.qseries import MAX_SERIES_COST, _first_mismatch, _levels_plan, _mul, _passes_cost
 
 
 def geometric(order):
@@ -136,6 +137,31 @@ def test_multisum_cost_is_bounded_in_k():
     # and the cap for large k sits at 2317
     assert _levels_plan(10**9, lambda j, v: v * v, 0, 0, 2317)[1] <= MAX_SERIES_COST
     assert _levels_plan(10**9, lambda j, v: v * v, 0, 0, 2318)[1] > MAX_SERIES_COST
+
+
+def test_series_entry_points_refuse_huge_orders_at_once():
+    # each prices its work before allocating anything: p(0..10^9) alone
+    # would be a 10^9-entry list built in O(N^1.5)
+    big = 10**9
+    for call, args in ((p_table, (big,)), (inv_euler, (big,)), (pochhammer, (None, big)),
+                       (pochhammer, (0, big)), (rr_product, (2, 1, big)), (rr_product, (1, 1, big)),
+                       (jacobi_specialization, (2, big)), (schur_rhs, (2, big))):
+        t = time.perf_counter()
+        with pytest.raises(ImpracticalOrder):
+            call(*args)
+        assert time.perf_counter() - t < 0.1, (call.__name__, args)
+    # the prices count the work exactly
+    for order in (0, 1, 9, 30):
+        for first, step, last in ((1, 1, order), (1, 1, order // 2), (5, 5, order), (2, 3, order)):
+            assert _passes_cost(order, first, step, last) == sum(
+                order + 1 - n for n in range(first, last + 1, step))
+    terms = [sum(1 for j in range(1, n + 1) for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2)
+                 if g <= n) for n in range(60)]
+    assert [_p_table_cost(N) for N in range(60)] == [sum(terms[: N + 1]) for N in range(60)]
+    # every order verify_identity accepts (its product side caps it at 6324)
+    # stays accepted, and the caps sit here
+    assert _passes_cost(6324, 1, 1, 6324) <= MAX_SERIES_COST < _passes_cost(6325, 1, 1, 6325)
+    assert _p_table_cost(69784) <= MAX_SERIES_COST < _p_table_cost(69785)
 
 
 def test_multisum_shift_bounds():
