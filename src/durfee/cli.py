@@ -20,7 +20,8 @@ from .decomposition import decompose
 from .errors import DurfeeError
 from .partition import Partition
 from .qseries import IDENTITIES, verify_identity
-from .rank import _rank_km_full, garvan_rank, rank_km
+from .rank import _rank_raw, garvan_rank, rank_km
+from .select_insert import SelectionTrace
 
 USAGE_EXIT = 1
 MISMATCH_EXIT = 2
@@ -119,11 +120,12 @@ def _cmd_rank(args) -> int:
             doc = st.to_json_dict(args.k, None)
             doc["statistic"] = "garvan"
         else:
-            st, trace = _rank_km_full(lam, args.k, args.m)
+            st = rank_km(lam, args.k, args.m)
             doc = st.to_json_dict(args.k, args.m)
             doc["statistic"] = "km"
             if args.trace:
-                doc["trace"] = trace.to_json_dict()
+                _, _, _, rows, parts = _rank_raw(lam.parts, args.k, args.m)
+                doc["trace"] = SelectionTrace(rows, parts, st.a).to_json_dict()
         print(json.dumps(doc, sort_keys=True))
     return 0
 

@@ -62,8 +62,9 @@ def decompose(lam: Partition, k: int, m: int) -> DurfeeDecomposition:
 
     Rows o_{i-1}+1 .. o_i lose N_i cells each and become lambda^i (zero
     rows dropped); the rows below o_k become alpha.  For m > 0 every
-    partition (including the empty one) decomposes; for m <= 0 a partition
-    may run out of rectangles of positive height.
+    partition (including the empty one) decomposes, and k > MAX_PARTS
+    raises ImpracticalOrder before any rectangle is taken; for m <= 0 a
+    partition may run out of rectangles of positive height.
     """
     widths, sides, below = _decompose_raw(lam.parts, k, m)
     fp = Partition._fromparts
@@ -74,6 +75,12 @@ def _decompose_raw(ps: tuple[int, ...], k: int, m: int):
     """``decompose`` on a part tuple: (widths, side part tuples, below parts)."""
     if k < 1:
         raise ValueError("k must be positive")
+    if m >= 1 and k > MAX_PARTS:
+        # every partition has k rectangles here, so the walk and its output are O(k)
+        raise ImpracticalOrder(
+            f"a decomposition into k = {k} {m}-Durfee rectangles would list {k} widths "
+            f"(cap {MAX_PARTS}); refusing"
+        )
     ell = len(ps)
     widths = []
     sides = []

@@ -53,13 +53,18 @@ class ImpracticalOrder(DurfeeError):
     """A series or a partition was requested at a size too costly to compute.
 
     Raised before any work when the price of a series plan passes
-    ``partition.MAX_SERIES_COST``: by the census engine, by ``multisum_lhs``,
-    by ``verify_identity``, by ``p_table`` (so also ``inv_euler`` and
-    ``schur_rhs``) and by the products ``pochhammer``, ``rr_product`` and
-    ``jacobi_specialization``.  Raised before any part is built when a
-    partition would have more than ``partition.MAX_PARTS`` parts: by
+    ``partition.MAX_SERIES_COST``: by the census engine, by ``multisum_lhs``
+    and ``q_table``, by ``verify_identity``, by ``p_table`` (so also
+    ``inv_euler`` and ``schur_rhs``), by the products ``pochhammer``,
+    ``rr_product`` and ``jacobi_specialization``, by the ``QSeries``
+    constructor (so also ``QSeries.zero`` and ``QSeries.one``) and by
+    ``insert``, priced by its bounds.  Raised before any part is built when
+    a partition would have more than ``partition.MAX_PARTS`` parts: by
     ``Partition.conjugate`` (so also by ``gen_conjugate`` and
-    ``garvan_conjugate``), by ``compose`` and by ``gen_dyson_inverse``.
+    ``garvan_conjugate``), by ``compose`` and by ``gen_dyson_inverse``; and
+    when a decomposition with m >= 1 would have more than that many
+    rectangles: by ``decompose`` (so also by ``rank_km``, ``gen_dyson`` and
+    ``gen_dyson_inverse``).
     """
 
 

@@ -10,7 +10,8 @@ from .errors import EmptyPartition, ImpracticalOrder
 # Largest partition a map builds, in parts (about 2 s as a CLI call on a
 # 2-core VM).  Conjugation, compose and gen_dyson_inverse count the parts
 # of their output before building any of it, and past the budget refuse
-# with ImpracticalOrder.
+# with ImpracticalOrder.  The same budget caps k for a decomposition with
+# m >= 1, where every partition has k rectangles.
 MAX_PARTS = 1_000_000
 
 # Largest series computation accepted, in coefficient additions (rank cells
@@ -161,9 +162,12 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     """Yield every partition of n exactly once, in reverse-lexicographic order.
 
     The order starts at (n) and ends at (1,...,1); it is fixed so golden
-    files stay stable.
+    files stay stable.  Lazy: each partition is built as it is asked for,
+    and nothing is cached.
     """
-    for parts in _partition_tuples(n):
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    for parts in _iter_partition_tuples(n):
         yield Partition._fromparts(parts)
 
 

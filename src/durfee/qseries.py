@@ -3,7 +3,7 @@ coefficient-level verification of the partition identities."""
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import add, sub
 from typing import NamedTuple
 
@@ -15,7 +15,9 @@ class QSeries:
     """Coefficients c_0..c_T of a series known modulo q^(T+1).
 
     Binary operations truncate to the smaller order of the two operands.
-    All arithmetic is exact (Python integers).
+    All arithmetic is exact (Python integers).  An order whose order + 1
+    coefficients pass MAX_SERIES_COST raises ImpracticalOrder before the
+    coefficients given are padded out to it.
     """
 
     __slots__ = ("coeffs", "order")
@@ -31,6 +33,7 @@ class QSeries:
             order = len(cs) - 1
         if order < 0:
             raise ValueError("order must be non-negative")
+        _refuse_above_cap(order + 1, f"QSeries of order {order}")
         if len(cs) > order + 1:
             cs = cs[: order + 1]
         elif len(cs) < order + 1:
@@ -48,18 +51,6 @@ class QSeries:
     @classmethod
     def zero(cls, order: int) -> "QSeries":
         return cls([0], order)
-
-    @classmethod
-    def monomial(cls, c: int, e: int, order: int) -> "QSeries":
-        coeffs = [0] * (order + 1)
-        if 0 <= e <= order:
-            coeffs[e] = c
-        return cls(coeffs, order)
-
-    def coefficient(self, n: int) -> int:
-        if not 0 <= n <= self.order:
-            raise IndexError(f"coefficient {n} outside truncation order {self.order}")
-        return self.coeffs[n]
 
     def __add__(self, other: "QSeries") -> "QSeries":
         T = min(self.order, other.order)
@@ -87,11 +78,6 @@ class QSeries:
 
     def __hash__(self) -> int:
         return hash((self.coeffs, self.order))
-
-    def truncate(self, order: int) -> "QSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return QSeries(self.coeffs[: order + 1], order)
 
     def __repr__(self) -> str:
         shown = ", ".join(str(c) for c in self.coeffs[:8])
@@ -163,23 +149,41 @@ def _passes_cost(order: int, first: int, step: int, last: int) -> int:
     return count * (order + 1 - first) - step * count * (count - 1) // 2
 
 
+def _product(order: int, progressions, inverse: bool, what: str) -> QSeries:
+    """prod of (1 - q^n)^(-1 if inverse else 1) over every n in the disjoint
+    ``progressions`` (ranges of n >= 1), truncated at q^order.
+
+    The one product kernel.  Its price is the passes it runs
+    (``_passes_cost`` per progression, summed only until past the cap, so a
+    long lazy iterable of progressions is not listed), but at least its
+    order + 1 coefficients; past MAX_SERIES_COST it raises ImpracticalOrder
+    before any is allocated.  The passes run in ascending n across all
+    progressions, so the partial products stay small.
+    """
+    passes, cost = [], 0
+    for p in progressions:
+        cost += _passes_cost(order, p.start, p.step, p.stop - 1)
+        if cost > MAX_SERIES_COST:
+            break
+        passes.append(p)
+    _refuse_above_cap(max(order + 1, cost), what)
+    cs = [0] * (order + 1)
+    cs[0] = 1
+    times = _times_geometric if inverse else _times_one_minus
+    for n in sorted(chain.from_iterable(passes)):
+        times(cs, n)
+    return QSeries(cs, order)
+
+
 def pochhammer(n: int | None, order: int) -> QSeries:
     """(q)_n = prod_{i=1..n} (1 - q^i); n=None means the infinite product.
 
-    Priced like every product here: its passes (``_passes_cost``), but at
-    least its order + 1 coefficients; past MAX_SERIES_COST raises
-    ImpracticalOrder before any is allocated.
+    Priced and refused as ``_product`` prices and refuses.
     """
     if n is not None and n < 0:
         raise ValueError("n must be non-negative or None")
     top = order if n is None else min(n, order)
-    cost = _passes_cost(order, 1, 1, top)
-    _refuse_above_cap(max(order + 1, cost), f"pochhammer to order {order}")
-    cs = [0] * (order + 1)
-    cs[0] = 1
-    for i in range(1, top + 1):
-        _times_one_minus(cs, i)
-    return QSeries(cs, order)
+    return _product(order, [range(1, top + 1)], False, f"pochhammer to order {order}")
 
 
 def inv_euler(order: int) -> QSeries:
@@ -280,6 +284,11 @@ def multisum_lhs(k: int, a_shift: int | None, order: int) -> QSeries:
     later for small k, and at k = 1 once the order + 1 coefficients alone
     pass it.
     """
+    return QSeries(_multisum(k, a_shift, order), order)
+
+
+def _multisum(k: int, a_shift: int | None, order: int) -> list[int]:
+    """The coefficients of ``multisum_lhs``, checked, planned, priced and run."""
     if k < 1:
         raise ValueError("k must be positive")
     if a_shift is not None and not 1 <= a_shift <= k:
@@ -289,7 +298,7 @@ def multisum_lhs(k: int, a_shift: int | None, order: int) -> QSeries:
     shift = k if a_shift is None else a_shift
     plan, cost = _levels_plan(k, lambda j, v: v * v + (v if j >= shift else 0), 0, 0, order)
     _refuse_above_cap(cost, f"multisum k={k} to order {order}")
-    return QSeries(_durfee_levels(plan, order)[0], order)
+    return _durfee_levels(plan, order)[0]
 
 
 def q_table(k: int, N: int) -> list[int]:
@@ -302,7 +311,7 @@ def q_table(k: int, N: int) -> list[int]:
         raise ValueError("k must be non-negative")
     if N < 0:
         raise ValueError("N must be non-negative")
-    return list(multisum_lhs(k + 1, None, N).coeffs)
+    return _multisum(k + 1, None, N)
 
 
 def _theta(k: int, order: int) -> QSeries:
@@ -340,16 +349,10 @@ def rr_product(k: int, a_shift: int, order: int) -> QSeries:
     if not 1 <= a_shift <= k:
         raise ValueError(f"a_shift must be in 1..{k}")
     mod = 2 * k + 1
-    banned = {0, a_shift % mod, (-a_shift) % mod}
-    cost = _passes_cost(order, 1, 1, order)
-    cost -= sum(_passes_cost(order, b or mod, mod, order) for b in banned)
-    _refuse_above_cap(max(order + 1, cost), f"rr_product to order {order}")
-    cs = [0] * (order + 1)
-    cs[0] = 1
-    for n in range(1, order + 1):
-        if n % mod not in banned:
-            _times_geometric(cs, n)
-    return QSeries(cs, order)
+    # a residue past the order has no factor, so a huge k lists no empty class
+    kept = (range(c, order + 1, mod) for c in range(1, min(2 * k, order) + 1)
+            if c not in (a_shift, mod - a_shift))
+    return _product(order, kept, True, f"rr_product to order {order}")
 
 
 def jacobi_specialization(k: int, order: int) -> tuple[QSeries, QSeries]:
@@ -361,16 +364,9 @@ def jacobi_specialization(k: int, order: int) -> tuple[QSeries, QSeries]:
     if k < 1:
         raise ValueError("k must be positive")
     mod = 2 * k + 1
-    wanted = {0, k % mod, (-k) % mod}
-    cost = sum(_passes_cost(order, w or mod, mod, order) for w in wanted)
-    _refuse_above_cap(max(order + 1, cost), f"jacobi product to order {order}")
-    theta = _theta(k, order)
-    cs = [0] * (order + 1)
-    cs[0] = 1
-    for n in range(1, order + 1):
-        if n % mod in wanted:
-            _times_one_minus(cs, n)
-    return theta, QSeries(cs, order)
+    wanted = [range(c, order + 1, mod) for c in (k, k + 1, mod)]
+    product = _product(order, wanted, False, f"jacobi product to order {order}")
+    return _theta(k, order), product
 
 
 def h_census_series(k: int, m: int, r: int, mode: str, order: int) -> QSeries:
@@ -428,7 +424,23 @@ def _first_mismatch(lhs: QSeries, rhs: QSeries) -> dict | None:
     return None
 
 
-IDENTITIES = ("pentagonal", "schur", "rr", "andrews", "jacobi", "h_closed_form")
+def _closed_form_sides(order: int, k: int, m: int, r: int) -> tuple[QSeries, QSeries]:
+    if not ((m >= 0 and r >= 1) or (m == 0 and r == 0)):
+        raise UnsupportedRegion("closed form requires m >= 0 and r >= 1, or m = r = 0")
+    return h_census_series(k, m, -r, "le", order), _h_closed_form(k, m, r, order)
+
+
+# name -> (parameter names, sides(order, **params) -> (lhs, rhs))
+_IDENTITY_SIDES = {
+    "pentagonal": ((), lambda order: (pochhammer(None, order), _theta(1, order))),
+    "schur": (("k",), lambda order, k: (multisum_lhs(k, None, order), schur_rhs(k, order))),
+    "rr": (("k",), lambda order, k: (multisum_lhs(k, None, order), rr_product(k, k, order))),
+    "andrews": (("k", "a"), lambda order, k, a: (multisum_lhs(k, a, order),
+                                                 rr_product(k, a, order))),
+    "jacobi": (("k",), lambda order, k: jacobi_specialization(k, order)),
+    "h_closed_form": (("k", "m", "r"), _closed_form_sides),
+}
+IDENTITIES = tuple(_IDENTITY_SIDES)
 
 
 def verify_identity(
@@ -457,42 +469,13 @@ def verify_identity(
     # a product side takes at most one pass per factor (1 - q^n)^(+-1), n <= order;
     # multisum_lhs guards the sum side itself
     _refuse_above_cap(order * (order + 1) // 2, f"verify {name} to order {order}")
-    if name == "pentagonal":
-        params = {}
-        lhs, rhs = pochhammer(None, order), _theta(1, order)
-    elif name == "schur":
-        k = _need(name, "k", k)
-        params = {"k": k}
-        lhs, rhs = multisum_lhs(k, None, order), schur_rhs(k, order)
-    elif name == "rr":
-        k = _need(name, "k", k)
-        params = {"k": k}
-        lhs, rhs = multisum_lhs(k, None, order), rr_product(k, k, order)
-    elif name == "andrews":
-        k = _need(name, "k", k)
-        a = _need(name, "a", a)
-        params = {"k": k, "a": a}
-        lhs, rhs = multisum_lhs(k, a, order), rr_product(k, a, order)
-    elif name == "jacobi":
-        k = _need(name, "k", k)
-        params = {"k": k}
-        lhs, rhs = jacobi_specialization(k, order)
-    else:
-        k = _need(name, "k", k)
-        m = _need(name, "m", m)
-        r = _need(name, "r", r)
-        params = {"k": k, "m": m, "r": r}
-        if not ((m >= 0 and r >= 1) or (m == 0 and r == 0)):
-            raise UnsupportedRegion(
-                "closed form requires m >= 0 and r >= 1, or m = r = 0"
-            )
-        lhs = h_census_series(k, m, -r, "le", order)
-        rhs = _h_closed_form(k, m, r, order)
+    pnames, sides = _IDENTITY_SIDES[name]
+    given = {"k": k, "a": a, "m": m, "r": r}
+    params = {}
+    for pname in pnames:
+        if given[pname] is None:
+            raise ValueError(f"identity {name!r} needs parameter {pname!r}")
+        params[pname] = given[pname]
+    lhs, rhs = sides(order, **params)
     mismatch = _first_mismatch(lhs, rhs)
     return VerificationReport(name, params, order, mismatch is None, mismatch)
-
-
-def _need(name: str, pname: str, value: int | None) -> int:
-    if value is None:
-        raise ValueError(f"identity {name!r} needs parameter {pname!r}")
-    return value

@@ -14,7 +14,7 @@ from typing import NamedTuple
 from .decomposition import _compose_raw, _decompose_raw, _gaps
 from .errors import EmptyPartition, InternalInvariantViolation
 from .partition import Partition, _conjugate_parts
-from .select_insert import SelectionTrace, _select_raw
+from .select_insert import _select_raw
 
 
 class RankStats(NamedTuple):
@@ -47,14 +47,6 @@ def rank_km(lam: Partition, k: int, m: int) -> RankStats:
     a = sum(parts)
     b = len(below)
     return RankStats(a, b, a - b, widths)
-
-
-def _rank_km_full(lam: Partition, k: int, m: int) -> tuple[RankStats, SelectionTrace]:
-    """``rank_km`` together with the selection trace it read."""
-    widths, _, below, rows, parts = _rank_raw(lam.parts, k, m)
-    a = sum(parts)
-    b = len(below)
-    return RankStats(a, b, a - b, widths), SelectionTrace(tuple(rows), tuple(parts), a)
 
 
 def _rank_raw(ps: tuple[int, ...], k: int, m: int):

@@ -12,7 +12,8 @@ is exactly one way to add one part (possibly of size zero) to every
 lambda^i so that the bounds still hold and the new selection total is a.
 The inserted parts are precisely the parts selected afterwards, which is
 why selection-plus-removal undoes insertion.  Insertion adds its cells in
-jumps (see ``insert``), so its cost does not depend on a.
+jumps (see ``insert``), so its cost does not depend on a; the public
+``insert`` prices it by its bounds and refuses past the series cap.
 
 The helpers on raw part tuples and lists (``_select_raw``, ``_remove_raw``,
 ``_base_insert_raw``, ``_grow_raw``, ``_insert_raw``, ``_iterate_remove_raw``)
@@ -25,8 +26,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import InsertionUnderflow, InternalInvariantViolation
-from .partition import Partition
+from .errors import ImpracticalOrder, InsertionUnderflow, InternalInvariantViolation
+from .partition import MAX_SERIES_COST, Partition
 
 
 class PartitionSequence:
@@ -261,10 +262,18 @@ def insert(a: int, seq: PartitionSequence) -> PartitionSequence:
     moves to next, and parts at smaller indices are no smaller, so every
     selected row of lambda^(i-1) .. lambda^1 moves up: rows[0] strictly
     decreases.  As rows[0] <= 1 + sum(p_i), at most 2 * rows[0] + 2 walks of
-    k steps run: insertion costs O(k * (total size + sum(p_i))) for any a.
+    k steps run, after one copy of the parts: insertion costs
+    O(k * (parts + sum(p_i))) for any a.  That bound is its price; past
+    MAX_SERIES_COST it raises ImpracticalOrder before anything is built.
     """
     if a < 0:
         raise ValueError("insertion total must be non-negative")
+    cost = seq.k * (2 * sum(seq.bounds) + 4) + sum(map(len, seq.partitions))
+    if cost > MAX_SERIES_COST:
+        raise ImpracticalOrder(
+            f"insert with bounds summing to {sum(seq.bounds)} may take {cost} walk steps "
+            f"(cap {MAX_SERIES_COST}); refusing"
+        )
     out = _insert_raw(a, seq.part_tuples(), seq.bounds)
     return PartitionSequence(
         tuple(Partition._fromparts(t) for t in out), seq.bounds

@@ -143,9 +143,14 @@ def test_domain_errors_exit_3(capsys):
     code, _, err = run(capsys, "verify", "h_closed_form", "--k", "1", "--m", "-1",
                        "--r", "1", "--order", "10")
     assert code == 3 and "error[UnsupportedRegion]" in err
-    # an image of about 10^12 parts is refused before any part is built, and
-    # a census one past the engine's cap (644 at k = 1) before any series
+    # an image of about 10^12 parts is refused before any part is built, as
+    # are 10^12 rectangles at m = 1, and a census one past the engine's cap
+    # (644 at k = 1) before any series
     for argv in (
+        ("rank", "--k", "1000000000000", "--m", "1", "5,4"),
+        ("decompose", "--k", "1000000000000", "--m", "1", "5,4"),
+        ("dyson", "--k", "1000000000000", "--m", "1", "--r", "0", "5,4"),
+        ("dyson", "--inverse", "--k", "1000000000000", "--m", "1", "--r", "0", "5,4"),
         ("dyson", "--inverse", "--k", "1", "--m", "1000000000000", "--r", "0", "5"),
         ("dyson", "--inverse", "--k", "1", "--m", "0", "--r", "1000000000000", "5"),
         ("conjugate", "1000000000000"),
@@ -230,7 +235,7 @@ _PARTITION = st.integers(0, 9).flatmap(
     (_PARTS if i > 1 else st.builds(lambda ps, big: [*ps, big], _PARTS, _BIG_PART))
     .map(lambda ps: ",".join(map(str, sorted(ps, reverse=True))) or "-")
 )
-_K = _small_or(st.integers(-2, 10**5))
+_K = _small_or(st.integers(-2, 10**12))
 _M = _small_or(st.integers(-(10**12), 10**12))
 _R = _small_or(st.integers(-(10**12), 10**12))
 
@@ -270,9 +275,13 @@ def _argv(draw):
 
 _KMAX, _BIG, _NMAX = "100000", "1000000000000", "1000000000000000000"
 # the draws rarely reach the ends of their ranges, so each command's
-# extremes are pinned: a part of 10^12, k = 10^5, m and r = +-10^12,
-# census n = 10^18 and verify order 10^8
+# extremes are pinned: a part of 10^12, k = 10^5 and 10^12, m and r =
+# +-10^12, census n = 10^18 and verify order 10^8
 _EXTREMES = [
+    ["rank", "5,4", "--k", _BIG, "--m", "1", "--trace"],
+    ["decompose", "5,4", "--k", _BIG, "--m", "1"],
+    ["dyson", "5,4", "--k", _BIG, "--m", "1", "--r", "0"],
+    ["dyson", "5,4", "--k", _BIG, "--m", "1", "--r", "0", "--inverse"],
     ["conjugate", _BIG],
     ["conjugate", "5,4", "--k", _KMAX],
     ["rank", _BIG, "--k", "1", "--m", "0", "--garvan", "--trace"],

@@ -12,6 +12,7 @@ from durfee import (
     profile,
 )
 from durfee.errors import ImpracticalOrder, InvalidDecomposition, NoSuchDecomposition
+from durfee.partition import MAX_PARTS
 
 P = Partition
 BIG = P([7, 7, 6, 6, 5, 4, 3, 3, 3, 2, 1, 1, 1, 1, 1])
@@ -78,6 +79,12 @@ def test_round_trip_cost_does_not_grow_with_m():
     # a positive width at a huge m asks for m + 1 rows: counted and refused, not built
     with pytest.raises(ImpracticalOrder):
         compose(DurfeeDecomposition(10**12, 1, (1,), (P([]),), P([])))
+    # for m >= 1 every partition has k rectangles, so k past the parts budget
+    # is refused before the first; for m <= 0 the partition runs out first
+    with pytest.raises(ImpracticalOrder):
+        decompose(P([5, 4]), MAX_PARTS + 1, 1)
+    with pytest.raises(NoSuchDecomposition):
+        decompose(P([5, 4]), 10**12, 0)
     assert time.perf_counter() - t < 0.1
 
 

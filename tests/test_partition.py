@@ -14,7 +14,7 @@ from durfee import (
 )
 from durfee.decomposition import decompose
 from durfee.errors import EmptyPartition, ImpracticalOrder, NoSuchDecomposition
-from durfee.partition import MAX_PARTS
+from durfee.partition import MAX_PARTS, _partition_tuples
 
 partitions = st.lists(st.integers(1, 12), max_size=10).map(
     lambda xs: Partition(sorted(xs, reverse=True))
@@ -99,6 +99,15 @@ def test_enumerate_small_order():
     assert got == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert [p.parts for p in enumerate_partitions(0)] == [()]
     assert len(list(enumerate_partitions(5))) == 7
+
+
+def test_enumerate_is_lazy():
+    # the first partition comes at once, and the tuple cache is left alone
+    before = _partition_tuples.cache_info().currsize
+    t = time.perf_counter()
+    assert next(enumerate_partitions(200)).parts == (200,)
+    assert time.perf_counter() - t < 0.1
+    assert _partition_tuples.cache_info().currsize == before
 
 
 def test_negative_n_rejected():

@@ -20,7 +20,14 @@ from durfee import (
 )
 from durfee.errors import ImpracticalOrder, UnknownIdentity, UnsupportedRegion
 from durfee.partition import _p_table_cost
-from durfee.qseries import MAX_SERIES_COST, _first_mismatch, _levels_plan, _mul, _passes_cost
+from durfee.qseries import (
+    IDENTITIES,
+    MAX_SERIES_COST,
+    _first_mismatch,
+    _levels_plan,
+    _mul,
+    _passes_cost,
+)
 
 
 def geometric(order):
@@ -145,7 +152,8 @@ def test_series_entry_points_refuse_huge_orders_at_once():
     big = 10**9
     for call, args in ((p_table, (big,)), (inv_euler, (big,)), (pochhammer, (None, big)),
                        (pochhammer, (0, big)), (rr_product, (2, 1, big)), (rr_product, (1, 1, big)),
-                       (jacobi_specialization, (2, big)), (schur_rhs, (2, big))):
+                       (jacobi_specialization, (2, big)), (schur_rhs, (2, big)),
+                       (QSeries.zero, (big,)), (QSeries, ([1], big))):
         t = time.perf_counter()
         with pytest.raises(ImpracticalOrder):
             call(*args)
@@ -242,8 +250,16 @@ def test_verify_identity_reports():
 def test_verify_identity_errors():
     with pytest.raises(UnknownIdentity):
         verify_identity("fermat", 10)
-    with pytest.raises(ValueError):
-        verify_identity("schur", 10)  # k missing
+    # every parameter of every identity is named when it is missing
+    full = {"pentagonal": {}, "schur": {"k": 2}, "rr": {"k": 2}, "andrews": {"k": 2, "a": 1},
+            "jacobi": {"k": 2}, "h_closed_form": {"k": 1, "m": 0, "r": 1}}
+    assert tuple(full) == IDENTITIES
+    for name, params in full.items():
+        assert verify_identity(name, 10, **params).ok, name
+        for missing in params:
+            rest = {p: v for p, v in params.items() if p != missing}
+            with pytest.raises(ValueError, match=f"^identity '{name}' needs parameter '{missing}'$"):
+                verify_identity(name, 10, **rest)
     with pytest.raises(UnsupportedRegion):
         verify_identity("h_closed_form", 10, k=1, m=-1, r=1)
     with pytest.raises(UnsupportedRegion):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from durfee import (
     remove_selected,
     select,
 )
-from durfee.errors import InsertionUnderflow
+from durfee.errors import ImpracticalOrder, InsertionUnderflow
 
 P = Partition
 
@@ -65,6 +67,15 @@ def test_insert_huge_total():
     s = PartitionSequence(d.sides, profile(d))
     a = select(s).total + 10**12
     assert select(insert(a, s)).total == a
+
+
+def test_insert_huge_bounds_refused_at_once():
+    # the walks grow with the bounds, so bounds of 10^12 are priced and refused
+    s = seq([[], [], []], [10**12, 10**12])
+    t = time.perf_counter()
+    with pytest.raises(ImpracticalOrder):
+        insert(10**13, s)
+    assert time.perf_counter() - t < 0.1
 
 
 def test_insert_underflow():
