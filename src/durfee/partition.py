@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add, sub
 from typing import Iterator
 
 from .errors import EmptyPartition, ImpracticalOrder
@@ -18,9 +19,10 @@ MAX_PARTS = 1_000_000
 # moved, for the census engine's passes).  The census engine, multisum_lhs,
 # verify_identity, p_table and the q-series products all price their work
 # before doing any and refuse past it with ImpracticalOrder.  Measured at
-# the caps on a 2-core VM (Python 3.11): the census engine 0.14 s (order 644,
-# k = 1) and 0.26 s (order 792, k = 3), multisum_lhs 1.6 s (order 2317,
-# large k), pochhammer(None, 6324) 1.0 s and p_table(69784) 5.5 s.
+# the caps on a 2-core VM (Python 3.11, best of 4): the census engine 0.18 s
+# (order 644, k = 1) and 0.29 s (order 792, k = 3), multisum_lhs 1.5 s
+# (order 2317, large k), pochhammer(None, 6324) 0.76 s,
+# jacobi_specialization(1, 6324) 0.73 s and p_table(69784) 2.2 s.
 MAX_SERIES_COST = 20_000_000
 
 
@@ -212,32 +214,67 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
 
 
 def p_table(N: int) -> list[int]:
-    """Exact values p(0..N) via the pentagonal-number recurrence.
+    """Exact values p(0..N): 1 divided by (q)_inf, by ``_divide_by_euler``.
 
     The price is its terms: N + 1 - g for every generalized pentagonal
     number g <= N, about 1.09 N^1.5.  Past MAX_SERIES_COST (N > 69784) it
     raises ImpracticalOrder before the table is allocated.
     """
+    _refuse_euler_division(N)
+    p = [0] * (N + 1)
+    p[0] = 1
+    _divide_by_euler(p)
+    return p
+
+
+def _refuse_euler_division(N: int) -> None:
+    # the check and price of p_table(N), shared by every division by (q)_inf
+    # to q^N, so they refuse alike and before allocating anything
     if N < 0:
         raise ValueError("N must be non-negative")
     _refuse_above_cap(_p_table_cost(N), f"p_table to {N}")
-    p = [0] * (N + 1)
-    p[0] = 1
-    for n in range(1, N + 1):
-        total = 0
-        j = 1
-        while True:
-            g1 = j * (3 * j - 1) // 2
-            if g1 > n:
+
+
+_BLOCK = 64
+
+
+def _divide_by_euler(cs: list[int]) -> None:
+    """In place, cs becomes cs / (q)_inf modulo q^len(cs), by Euler's
+    pentagonal recurrence c_n = cs_n + sum_{j >= 1} (-1)^(j-1) (c_(n-g_j)
+    + c_(n-g_j-j)), g_j = j(3j-1)/2.
+
+    Runs in blocks of 64 coefficients.  A generalized pentagonal number g
+    >= 64 reads only coefficients finished before the block, so it goes
+    into the whole block (from n = g on) as one slice addition; only the
+    twelve g < 64 run one n at a time.  Each term is one addition, so
+    ``_p_table_cost(len(cs) - 1)`` counts them exactly.
+    """
+    size = len(cs)
+    terms = []  # (g, 1 for + or 0 for -), every generalized pentagonal g < size, ascending
+    j = 1
+    while (g := j * (3 * j - 1) // 2) < size:
+        terms += [(h, j % 2) for h in (g, g + j) if h < size]
+        j += 1
+    near = [(g, plus) for g, plus in terms if g < _BLOCK]
+    far = [(g, add if plus else sub) for g, plus in terms if g >= _BLOCK]
+    for b in range(0, size, _BLOCK):
+        end = min(b + _BLOCK, size)
+        block = cs[b:end]
+        for g, op in far:
+            if g >= end:
                 break
-            sign = 1 if j % 2 == 1 else -1
-            total += sign * p[n - g1]
-            g2 = j * (3 * j + 1) // 2
-            if g2 <= n:
-                total += sign * p[n - g2]
-            j += 1
-        p[n] = total
-    return p
+            lo = max(b, g)
+            block[lo - b :] = map(op, block[lo - b :], cs[lo - g : end - g])
+        for n in range(b, end):
+            total = block[n - b]
+            for g, plus in near:
+                if g > n:
+                    break
+                if plus:
+                    total += cs[n - g]
+                else:
+                    total -= cs[n - g]
+            cs[n] = total
 
 
 def _p_table_cost(N: int) -> int:

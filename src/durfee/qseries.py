@@ -8,7 +8,13 @@ from operator import add, sub
 from typing import NamedTuple
 
 from .errors import UnknownIdentity, UnsupportedRegion
-from .partition import MAX_SERIES_COST, _refuse_above_cap, p_table
+from .partition import (
+    MAX_SERIES_COST,
+    _divide_by_euler,
+    _refuse_above_cap,
+    _refuse_euler_division,
+    p_table,
+)
 
 
 class QSeries:
@@ -142,7 +148,10 @@ def _times_geometric(cs: list[int], n: int) -> None:
 
 def _passes_cost(order: int, first: int, step: int, last: int) -> int:
     """Additions of the passes (1 - q^n)^(+-1) over order + 1 coefficients
-    for n = first, first + step, ... <= last: order + 1 - n each."""
+    for n = first, first + step, ... <= last: order + 1 - n each.
+
+    The price of ``_product``, and an upper bound on its work: past
+    order // 2 its tail step makes no more additions than these passes."""
     if first > last:
         return 0
     count = (last - first) // step + 1
@@ -153,13 +162,27 @@ def _product(order: int, progressions, inverse: bool, what: str) -> QSeries:
     """prod of (1 - q^n)^(-1 if inverse else 1) over every n in the disjoint
     ``progressions`` (ranges of n >= 1), truncated at q^order.
 
-    The one product kernel.  Its price is the passes it runs
-    (``_passes_cost`` per progression, summed only until past the cap, so a
-    long lazy iterable of progressions is not listed), but at least its
-    order + 1 coefficients; past MAX_SERIES_COST it raises ImpracticalOrder
-    before any is allocated.  The passes run in ascending n across all
-    progressions, so the partial products stay small.
+    The one product kernel.  Its price is the passes it would run one
+    factor at a time (``_passes_cost`` per progression, an upper bound,
+    summed only until past the cap, so a long lazy iterable of progressions
+    is not listed), but at least its order + 1 coefficients; past
+    MAX_SERIES_COST it raises ImpracticalOrder before any is allocated.
+
+    The factors n <= order // 2 run as passes in ascending n across all
+    progressions, so the partial products stay small.  The factors past
+    order // 2 then go in with one tail step: any two of them multiply past
+    q^order, and there 1/(1 - q^n) = 1 + q^n, so together they are
+    1 -+ sum q^n.  For a progression n0, n0 + d, ..., n1 the coefficient
+    of q^j gains -+(S[j - n0] - S[j - n1 - d]), where S is the step-d
+    running sum of the coefficients, made once per step d and only as long
+    as the lowest tail of that step reads, so below order - order // 2.
+    The step reads only there and writes only from q^(order // 2 + 1) on,
+    so it runs in place.  A tail of three or more factors makes at most
+    the additions of its passes n0, n0 + d and n1 (the two sweeps and S);
+    a tail of one or two runs as passes.  So the price bounds the work.
     """
+    if order < 0:
+        raise ValueError("order must be non-negative")
     passes, cost = [], 0
     for p in progressions:
         cost += _passes_cost(order, p.start, p.step, p.stop - 1)
@@ -169,9 +192,27 @@ def _product(order: int, progressions, inverse: bool, what: str) -> QSeries:
     _refuse_above_cap(max(order + 1, cost), what)
     cs = [0] * (order + 1)
     cs[0] = 1
+    low, tails = [], []
+    for p in passes:
+        below = range(p.start, min(p.stop, order // 2 + 1), p.step)
+        if len(p) - len(below) < 3:  # a short tail costs less as passes
+            low.append(p)
+        else:
+            low.append(below)
+            tails.append(p[len(below) :])
     times = _times_geometric if inverse else _times_one_minus
-    for n in sorted(chain.from_iterable(passes)):
+    for n in sorted(chain.from_iterable(low)):
         times(cs, n)
+    gain, undo = (add, sub) if inverse else (sub, add)
+    sums = {}  # step d -> S, as long as the lowest tail of that step reads
+    for tail in sorted(tails, key=lambda t: t.start):
+        d, n0, n1 = tail.step, tail.start, tail[-1]
+        if d not in sums:
+            sums[d] = cs[: order + 1 - n0]
+            _times_geometric(sums[d], d)
+        cs[n0:] = map(gain, cs[n0:], sums[d])
+        if n1 + d <= order:
+            cs[n1 + d :] = map(undo, cs[n1 + d :], sums[d])
     return QSeries(cs, order)
 
 
@@ -332,13 +373,18 @@ def _theta(k: int, order: int) -> QSeries:
 
 
 def schur_rhs(k: int, order: int) -> QSeries:
-    """Alternating-theta side: theta_k(q) / (q)_infinity.
+    """Alternating-theta side: theta_k(q) / (q)_infinity, one division
+    by ``partition._divide_by_euler``.
 
-    ``inv_euler`` runs first, so an order it refuses allocates nothing.
+    Priced and refused as ``p_table`` (so as ``inv_euler``), before the
+    theta sum is allocated.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    return inv_euler(order) * _theta(k, order)
+    _refuse_euler_division(order)
+    cs = list(_theta(k, order).coeffs)
+    _divide_by_euler(cs)
+    return QSeries(cs, order)
 
 
 def rr_product(k: int, a_shift: int, order: int) -> QSeries:
@@ -386,7 +432,10 @@ def h_census_series(k: int, m: int, r: int, mode: str, order: int) -> QSeries:
 
 
 def _h_closed_form(k: int, m: int, r: int, order: int) -> QSeries:
-    """(1/(q)_inf) sum_{j>=1} (-1)^(j-1) q^(jr + j(j-1)/2 + k(jm + j^2))."""
+    """(1/(q)_inf) sum_{j>=1} (-1)^(j-1) q^(jr + j(j-1)/2 + k(jm + j^2)): the
+    sparse sum divided by ``partition._divide_by_euler``, priced and
+    refused as ``schur_rhs``."""
+    _refuse_euler_division(order)
     cs = [0] * (order + 1)
     j = 1
     while True:
@@ -396,7 +445,8 @@ def _h_closed_form(k: int, m: int, r: int, order: int) -> QSeries:
         if e >= 0:
             cs[e] += 1 if j % 2 == 1 else -1
         j += 1
-    return inv_euler(order) * QSeries(cs, order)
+    _divide_by_euler(cs)
+    return QSeries(cs, order)
 
 
 class VerificationReport(NamedTuple):
@@ -418,10 +468,11 @@ class VerificationReport(NamedTuple):
 
 def _first_mismatch(lhs: QSeries, rhs: QSeries) -> dict | None:
     T = min(lhs.order, rhs.order)
-    for n in range(T + 1):
-        if lhs.coeffs[n] != rhs.coeffs[n]:
-            return {"n": n, "lhs": lhs.coeffs[n], "rhs": rhs.coeffs[n]}
-    return None
+    a, b = lhs.coeffs[: T + 1], rhs.coeffs[: T + 1]
+    if a == b:
+        return None
+    n = next(n for n in range(T + 1) if a[n] != b[n])
+    return {"n": n, "lhs": a[n], "rhs": b[n]}
 
 
 def _closed_form_sides(order: int, k: int, m: int, r: int) -> tuple[QSeries, QSeries]:

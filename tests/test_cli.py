@@ -145,7 +145,8 @@ def test_domain_errors_exit_3(capsys):
     assert code == 3 and "error[UnsupportedRegion]" in err
     # an image of about 10^12 parts is refused before any part is built, as
     # are 10^12 rectangles at m = 1, and a census one past the engine's cap
-    # (644 at k = 1) before any series
+    # (644 at k = 1) before any series, and a verify one past the product
+    # kernel's (6324 for pentagonal)
     for argv in (
         ("rank", "--k", "1000000000000", "--m", "1", "5,4"),
         ("decompose", "--k", "1000000000000", "--m", "1", "5,4"),
@@ -156,6 +157,7 @@ def test_domain_errors_exit_3(capsys):
         ("conjugate", "1000000000000"),
         ("conjugate", "--k", "1", "1000000000000"),
         ("census", "645", "--k", "1"),
+        ("verify", "pentagonal", "--order", "6325"),
     ):
         t = time.perf_counter()
         code, out, err = run(capsys, *argv)

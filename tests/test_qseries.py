@@ -1,3 +1,5 @@
+import itertools
+import operator
 import random
 import time
 
@@ -14,19 +16,22 @@ from durfee import (
     partitions_of,
     pochhammer,
     q_table,
+    qseries,
     rr_product,
     schur_rhs,
     verify_identity,
 )
 from durfee.errors import ImpracticalOrder, UnknownIdentity, UnsupportedRegion
-from durfee.partition import _p_table_cost
+from durfee.partition import _divide_by_euler, _p_table_cost
 from durfee.qseries import (
     IDENTITIES,
     MAX_SERIES_COST,
     _first_mismatch,
+    _h_closed_form,
     _levels_plan,
     _mul,
     _passes_cost,
+    _theta,
 )
 
 
@@ -273,3 +278,139 @@ def test_first_mismatch_structure():
     b = QSeries([1, 5, 3], 2)
     assert _first_mismatch(a, b) == {"n": 1, "lhs": 2, "rhs": 5}
     assert _first_mismatch(a, a) is None
+
+
+@pytest.mark.parametrize("call, args", [
+    (pochhammer, (None, -1)), (pochhammer, (3, -1)), (inv_euler, (-1,)), (rr_product, (2, 1, -1)),
+    (jacobi_specialization, (2, -1)), (schur_rhs, (2, -1)), (multisum_lhs, (2, None, -1)),
+    (q_table, (1, -1)), (h_census_series, (1, 0, 0, "le", -1)), (QSeries, ([1], -1)),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_negative_order_is_value_error(call, args):
+    with pytest.raises(ValueError):  # an IndexError would escape this and fail
+        call(*args)
+
+
+def passes_oracle(order, ns, inverse):
+    """The product one factor (1 - q^n)^(+-1) at a time, ascending n, in
+    plain loops."""
+    cs = [0] * (order + 1)
+    cs[0] = 1
+    for n in sorted(ns):
+        if inverse:
+            for i in range(n, order + 1):
+                cs[i] += cs[i - n]
+        else:
+            for i in range(order, n - 1, -1):
+                cs[i] -= cs[i - n]
+    return cs
+
+
+def test_products_match_pass_by_pass_oracle():
+    # every order 0..80 puts the factors past order // 2 through the tail
+    # step, for odd and even halves alike
+    for T in range(81):
+        # a tail that stops below the order closes with S[j - n1 - d]
+        for n in (None, T // 2, T // 2 + 1, 3 * T // 4, max(T - 1, 0)):
+            top = T if n is None else min(n, T)
+            assert list(pochhammer(n, T).coeffs) == passes_oracle(T, range(1, top + 1), False), (n, T)
+        # every a <= k <= 6; and k >= T, where each progression holds one
+        # factor or none
+        shapes = {(k, a) for k in range(1, 7) for a in range(1, k + 1)}
+        shapes |= {(k, a) for k in (T, T + 1, T + 4) if k > 6 for a in (1, 2, k // 2, k)}
+        for k, a in sorted(shapes):
+            mod = 2 * k + 1
+            if a == 1:
+                jacobi = [n for n in range(1, T + 1) if n % mod in (0, k, k + 1)]
+                assert list(jacobi_specialization(k, T)[1].coeffs) == passes_oracle(T, jacobi, False), (k, T)
+            kept = [n for n in range(1, T + 1) if n % mod not in (0, a, mod - a)]
+            assert list(rr_product(k, a, T).coeffs) == passes_oracle(T, kept, True), (k, a, T)
+
+
+def test_product_price_bounds_its_additions(monkeypatch):
+    # every coefficient addition of the product kernel goes through add, sub
+    # or accumulate; the passes cost exactly their price and the tail step
+    # no more
+    made = [0]
+
+    def counted(op):
+        def counted_op(x, y):
+            made[0] += 1
+            return op(x, y)
+        return counted_op
+
+    monkeypatch.setattr(qseries, "add", counted(operator.add))
+    monkeypatch.setattr(qseries, "sub", counted(operator.sub))
+    monkeypatch.setattr(qseries, "accumulate",
+                        lambda xs: itertools.accumulate(xs, counted(operator.add)))
+    for T in (0, 1, 2, 7, 8, 40, 41, 121):
+        shapes = [(pochhammer, (n, T), [range(1, min(n, T) + 1)])
+                  for n in {T // 2, T // 2 + 1, T // 2 + 2, T // 2 + 3, max(T - 1, 0), T}]
+        for k in {1, 2, 3, 6, T // 3 + 1, max(T, 1)}:
+            mod = 2 * k + 1
+            shapes.append((jacobi_specialization, (k, T), [range(c, T + 1, mod) for c in (k, k + 1, mod)]))
+            for a in {1, k}:
+                kept = [range(c, T + 1, mod) for c in range(1, min(2 * k, T) + 1) if c not in (a, mod - a)]
+                shapes.append((rr_product, (k, a, T), kept))
+        for call, args, progressions in shapes:
+            price = sum(_passes_cost(T, p.start, p.step, p.stop - 1) for p in progressions)
+            made[0] = 0
+            call(*args)
+            assert made[0] <= price, (call.__name__, args)
+            if args[0] == T // 2 and call is pochhammer:  # no tail: the passes alone
+                assert made[0] == price, args
+
+
+def unblocked_division(cs):
+    """cs / (q)_inf by the pentagonal recurrence, one term at a time."""
+    out = []
+    for n, c in enumerate(cs):
+        j = 1
+        while (g := j * (3 * j - 1) // 2) <= n:
+            sign = 1 if j % 2 else -1
+            c += sign * out[n - g]
+            if g + j <= n:
+                c += sign * out[n - g - j]
+            j += 1
+        out.append(c)
+    return out
+
+
+def divided(cs):
+    cs = list(cs)
+    _divide_by_euler(cs)
+    return cs
+
+
+def test_blocked_division_matches_unblocked_recurrence():
+    # every length up to 301 takes in the block edges 63-65 and 127-129
+    want = unblocked_division([1] + [0] * 300)
+    for N in range(301):
+        assert divided([1] + [0] * N) == want[: N + 1], N
+        assert p_table(N) == want[: N + 1], N
+    rng = random.Random(13)
+    for _ in range(4):
+        num = [rng.choice((0, 0, 1, -1, rng.randint(-(10**30), 10**30))) for _ in range(301)]
+        want = unblocked_division(num)
+        for N in (0, 1, 2, 40, 63, 64, 65, 127, 128, 129, 200, 300):
+            assert divided(num[: N + 1]) == want[: N + 1], N
+            assert divided(num[: N + 1]) == _mul(num, p_table(N), N), N
+
+
+def test_euler_divisions_match_kronecker_products():
+    # truncation commutes with both sides, so one order-300 product checks
+    # every lower order
+    for k in range(1, 7):
+        want = (inv_euler(300) * _theta(k, 300)).coeffs
+        for T in range(301):
+            assert schur_rhs(k, T).coeffs == want[: T + 1], (k, T)
+    for k in (1, 2, 3):
+        for m in (0, 1, 2):
+            for r in (0, 1, 2, 5):
+                for T in (0, 1, 2, 63, 64, 65, 129, 250):
+                    sparse = [0] * (T + 1)
+                    j = 1
+                    while (e := j * r + j * (j - 1) // 2 + k * (j * m + j * j)) <= T:
+                        sparse[e] += 1 if j % 2 else -1
+                        j += 1
+                    want = inv_euler(T) * QSeries(sparse, T)
+                    assert _h_closed_form(k, m, r, T) == want, (k, m, r, T)
