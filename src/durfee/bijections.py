@@ -3,9 +3,15 @@ the generalized Dyson map between rectangle parameters m and m+2.
 
 Each map runs once, on part tuples, through the raw helpers of
 ``decomposition`` and ``select_insert``; the only object it builds is the
-image ``Partition``.  After every removal and insertion an O(k) check
-confirms that each side partition still fits its width gap, and a failure
-raises InternalInvariantViolation naming the input and the parameters.
+image ``Partition``.  ``gen_conjugate`` copies the side partitions into
+working lists once, runs its N_k removals and N_k insertions on them in
+place, and converts them back once.  ``gen_dyson`` hands the selection walk
+that ``_rank_raw`` already made to the insertion, and
+``gen_dyson_inverse`` hands it to the removal, so each walks its selection
+once.  After every removal and insertion an O(k) check confirms that each
+side partition still fits its width gap, and a failure raises
+InternalInvariantViolation naming the input and the parameters.  The image
+is reassembled by ``_compose_raw``, whose greedy-maximality check is O(k).
 """
 
 from __future__ import annotations
@@ -22,7 +28,13 @@ from .errors import (
 )
 from .partition import MAX_PARTS, Partition, _conjugate_parts
 from .rank import _rank_raw, dyson_rank
-from .select_insert import _check_bounds, _insert_raw, _iterate_remove_raw, _remove_raw
+from .select_insert import (
+    _check_bounds,
+    _insert_into,
+    _insert_raw,
+    _remove_iterated,
+    _remove_raw,
+)
 
 
 def dyson_map(lam: Partition, r: int) -> Partition:
@@ -55,20 +67,22 @@ def gen_conjugate(lam: Partition, k: int) -> Partition:
     def where():
         return f"{lam.text()}, k={k}, m=0"
 
-    totals, cur = _iterate_remove_raw(sides, bounds, n_k, where)
+    work = list(map(list, sides))
+    totals = _remove_iterated(work, bounds, n_k, where)
     alpha_cols = _conjugate_parts(below)
     for j in range(n_k, 0, -1):
         col = alpha_cols[j - 1] if j <= len(alpha_cols) else 0
         try:
-            cur = _insert_raw(col, cur, bounds)
+            _insert_into(col, work, bounds)
         except InsertionUnderflow:
             raise InternalInvariantViolation(
                 f"column insertion order broke a >= A: {where()}"
             ) from None
-        _check_bounds(cur, bounds, where)
+        _check_bounds(work, bounds, where)
 
     new_below = _conjugate_parts(tuple([t for t in totals if t > 0]))
-    return Partition._fromparts(_compose_raw(0, k, widths, tuple(cur), new_below))
+    new_sides = tuple(map(tuple, work))
+    return Partition._fromparts(_compose_raw(0, k, widths, new_sides, new_below))
 
 
 def gen_dyson(lam: Partition, k: int, m: int, r: int) -> Partition:
@@ -80,7 +94,7 @@ def gen_dyson(lam: Partition, k: int, m: int, r: int) -> Partition:
     (k,m)-rank at most -r; the image then has selection total t - r, at
     most t parts below, and size |lam| - r - k(m+1).
     """
-    widths, sides, below, _, parts = _rank_raw(lam.parts, k, m)
+    widths, sides, below, rows, parts = _rank_raw(lam.parts, k, m)
     if any(w == 0 for w in widths):
         raise ZeroWidthRectangle(f"{lam.text()} has a zero-width {m}-Durfee rectangle")
     t = len(below)
@@ -92,7 +106,7 @@ def gen_dyson(lam: Partition, k: int, m: int, r: int) -> Partition:
         return f"{lam.text()}, k={k}, m={m}, r={r}"
 
     bounds = _gaps(widths)
-    new_sides = _insert_raw(t - r, sides, bounds)
+    new_sides = _insert_raw(t - r, sides, bounds, (rows, parts))
     _check_bounds(new_sides, bounds, where)
     beta = tuple([x - 1 for x in below if x > 1])
     new_widths = tuple([w - 1 for w in widths])

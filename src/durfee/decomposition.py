@@ -9,6 +9,20 @@ of rectangle i, and the below-partition alpha under rectangle k.
 single implementation of both directions.  ``decompose`` and ``compose``
 wrap them and build the ``Partition`` objects; the rank statistics and the
 bijections call the raw helpers and build objects only for their result.
+
+``_compose_raw`` confirms that its widths are greedy-maximal in O(k), not
+by decomposing the rows again.  Rows inside rectangle i are N_i plus a
+side part, so all are >= N_i, and the greedy walk, at the same offset
+o_{i-1} as the assembly, extends every width below N_i and stops at N_i
+exactly when the row just past the rectangle is missing or <= N_i.  After
+a width-0 rectangle every later width is 0 and only that rectangle's side
+rows (at most m of them) follow, so the offsets, which the greedy walk
+advances by N_i + m, still agree wherever a row exists.  The walk over k
+such rows therefore gives the same verdict as the full decomposition; on
+failure the full decomposition runs once, to name the greedy widths in
+the InvalidDecomposition message.  (Rows past a rectangle are bounded by
+the next side's gap, or by the below-partition's first part, which the
+structural checks already enforce, so the check is a guard.)
 """
 
 from __future__ import annotations
@@ -75,12 +89,7 @@ def _decompose_raw(ps: tuple[int, ...], k: int, m: int):
     """``decompose`` on a part tuple: (widths, side part tuples, below parts)."""
     if k < 1:
         raise ValueError("k must be positive")
-    if m >= 1 and k > MAX_PARTS:
-        # every partition has k rectangles here, so the walk and its output are O(k)
-        raise ImpracticalOrder(
-            f"a decomposition into k = {k} {m}-Durfee rectangles would list {k} widths "
-            f"(cap {MAX_PARTS}); refusing"
-        )
+    _refuse_many_widths(k, m)
     ell = len(ps)
     widths = []
     sides = []
@@ -138,6 +147,15 @@ def _decompose_raw(ps: tuple[int, ...], k: int, m: int):
     return tuple(widths), tuple(sides), below
 
 
+def _refuse_many_widths(k: int, m: int) -> None:
+    if m >= 1 and k > MAX_PARTS:
+        # every partition has k rectangles here, so the walk and its output are O(k)
+        raise ImpracticalOrder(
+            f"a decomposition into k = {k} {m}-Durfee rectangles would list {k} widths "
+            f"(cap {MAX_PARTS}); refusing"
+        )
+
+
 def compose(d: DurfeeDecomposition) -> Partition:
     """Reassemble a partition from a decomposition; inverse of decompose.
 
@@ -171,12 +189,29 @@ def _compose_raw(m, k, widths, sides, below) -> tuple[int, ...]:
     if any(map(lt, rows, rows[1:])):
         raise InvalidDecomposition("assembled rows are not weakly decreasing")
     rows = tuple(rows)
-    redo = _decompose_raw(rows, k, m)[0]
-    if redo != widths:
+    _refuse_many_widths(k, m)
+    if not _widths_maximal(rows, m, widths):
+        redo = _decompose_raw(rows, k, m)[0]
         raise InvalidDecomposition(
             f"widths {widths} are not maximal for {_parts_text(rows)} (greedy gives {redo})"
         )
     return rows
+
+
+def _widths_maximal(rows, m, widths) -> bool:
+    """Whether the greedy walk over ``rows`` stops at every width, in O(k).
+
+    Requires every rectangle of positive width to lie inside the rows, each
+    of its rows >= its width (see the module docstring).  The row just past
+    rectangle i has 0-based index o_i = o_{i-1} + N_i + m.
+    """
+    ell = len(rows)
+    off = 0
+    for w in widths:
+        off += w + m
+        if off < ell and rows[off] > w:
+            return False
+    return True
 
 
 def profile(d: DurfeeDecomposition) -> tuple[int, ...]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, sub
+from operator import add, lt, sub
 from typing import Iterator
 
 from .errors import EmptyPartition, ImpracticalOrder
@@ -36,8 +36,10 @@ def _refuse_above_cap(cost: int, what: str) -> None:
 class Partition:
     """A weakly decreasing sequence of positive integer parts.
 
-    Zero parts are never stored; reading past the last part yields 0
-    (see :meth:`part`).  Instances are immutable and hashable.
+    Parts must be ints: a float, a string or a bool raises TypeError
+    rather than being truncated or parsed.  Zero parts are never stored;
+    reading past the last part yields 0 (see :meth:`part`).  Instances are
+    immutable and hashable.
     """
 
     __slots__ = ("parts",)
@@ -45,14 +47,22 @@ class Partition:
     parts: tuple[int, ...]
 
     def __init__(self, parts=()):
-        ps = tuple(int(x) for x in parts)
-        prev = None
-        for x in ps:
-            if x < 1:
-                raise ValueError(f"parts must be positive, got {x}")
-            if prev is not None and x > prev:
-                raise ValueError(f"parts must be weakly decreasing, got {ps}")
-            prev = x
+        ps = tuple(parts)
+        # one C-level pass each for the types and the order; the loops below
+        # run only to name the first offending part
+        if not set(map(type, ps)) <= {int}:
+            for x in ps:
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise TypeError(f"parts must be exact integers, got {x!r}")
+            ps = tuple(map(int, ps))
+        if ps and (ps[-1] < 1 or any(map(lt, ps, ps[1:]))):
+            prev = None
+            for x in ps:
+                if x < 1:
+                    raise ValueError(f"parts must be positive, got {x}")
+                if prev is not None and x > prev:
+                    raise ValueError(f"parts must be weakly decreasing, got {ps}")
+                prev = x
         object.__setattr__(self, "parts", ps)
 
     @classmethod
@@ -107,7 +117,7 @@ class Partition:
         if s == "-" or s == "":
             return _EMPTY
         try:
-            parts = [int(tok) for tok in s.split(",")]
+            parts = tuple(map(int, s.split(",")))
         except ValueError:
             raise ValueError(f"bad partition text {s!r}") from None
         return cls(parts)

@@ -15,11 +15,16 @@ why selection-plus-removal undoes insertion.  Insertion adds its cells in
 jumps (see ``insert``), so its cost does not depend on a; the public
 ``insert`` prices it by its bounds and refuses past the series cap.
 
-The helpers on raw part tuples and lists (``_select_raw``, ``_remove_raw``,
-``_base_insert_raw``, ``_grow_raw``, ``_insert_raw``, ``_iterate_remove_raw``)
-are the single implementation.  The public operations on
-``PartitionSequence`` wrap them; the rank statistics and the bijections call
-them directly, so no sequence object is built per step.
+The helpers on raw part lists are the single implementation.  Removal and
+insertion each have one in-place form on a working list per partition:
+``_remove_rows`` deletes the selected rows (``del s[j - 1]``),
+``_remove_iterated`` repeats selection and removal, and ``_insert_into``
+runs ``_base_insert_raw`` in place, then ``_grow_raw``.  The copying forms
+``_remove_raw`` and ``_insert_raw`` copy the parts once and call those same
+helpers.  The public operations on ``PartitionSequence`` wrap them; the rank
+statistics and the bijections call them directly, so no sequence object is
+built per step, and a map that removes or inserts many times (generalized
+conjugation) copies its sides once and edits them in place.
 """
 
 from __future__ import annotations
@@ -117,29 +122,28 @@ def _select_raw(seqs, bounds):
     return rows, parts
 
 
-def _remove_raw(seqs, rows):
-    """Sequences with the selected rows deleted (virtual rows are no-ops)."""
-    out = []
-    for s, j in zip(seqs, rows):
+def _remove_rows(work, rows):
+    """Delete the selected rows of the part lists in place (virtual rows are no-ops)."""
+    for s, j in zip(work, rows):
         if j <= len(s):
-            out.append(s[: j - 1] + s[j:])
-        else:
-            out.append(s)
-    return out
+            del s[j - 1]
 
 
-def _base_insert_raw(seqs, rows, parts):
-    """Duplicate each selected part directly above its selected row.
+def _remove_raw(seqs, rows):
+    """Part tuples of ``seqs`` with the selected rows deleted."""
+    work = list(map(list, seqs))
+    _remove_rows(work, rows)
+    return list(map(tuple, work))
 
-    Returns mutable lists; virtual (size-0) selections change nothing.
+
+def _base_insert_raw(work, rows, parts):
+    """Duplicate each selected part directly above its selected row, in place.
+
+    Virtual (size-0) selections change nothing.
     """
-    work = []
-    for s, j, v in zip(seqs, rows, parts):
-        w = list(s)
+    for s, j, v in zip(work, rows, parts):
         if v > 0:
-            w.insert(j - 1, v)
-        work.append(w)
-    return work
+            s.insert(j - 1, v)
 
 
 def _grow_raw(work, bounds, cells, selected=None):
@@ -179,35 +183,42 @@ def _grow_raw(work, bounds, cells, selected=None):
         left -= step
 
 
-def _insert_raw(a, seqs, bounds):
-    """``insert`` on part tuples/lists; returns a list of part tuples.
+def _insert_into(a, work, bounds, selected=None):
+    """``insert`` on a list of part lists, in place.
 
-    Runs one selection walk, which also serves the a >= A check: the base
-    insertion keeps every selected row and part, so the walk is still valid
-    for the first jump.
+    ``selected`` is ``_select_raw(work, bounds)``, if the caller has it;
+    else one selection walk runs.  The walk also serves the a >= A check:
+    the base insertion keeps every selected row and part, so the walk is
+    still valid for the first jump.
     """
-    rows, parts = _select_raw(seqs, bounds)
+    rows, parts = selected or _select_raw(work, bounds)
     total = sum(parts)
     if a < total:
         raise InsertionUnderflow(f"cannot insert {a} < selection total {total}")
-    work = _base_insert_raw(seqs, rows, parts)
+    _base_insert_raw(work, rows, parts)
     _grow_raw(work, bounds, a - total, (rows, parts))
-    return [tuple(w) for w in work]
 
 
-def _iterate_remove_raw(seqs, bounds, t, where):
-    """``iterate_remove`` on part tuples: (removed totals, residue tuples).
+def _insert_raw(a, seqs, bounds, selected=None):
+    """``insert`` on part tuples/lists; returns a list of part tuples."""
+    work = list(map(list, seqs))
+    _insert_into(a, work, bounds, selected)
+    return list(map(tuple, work))
+
+
+def _remove_iterated(work, bounds, t, where):
+    """``iterate_remove`` on a list of part lists, in place: the removed totals.
 
     After each removal the O(k) bound check runs; ``where()`` names the
     input in the InternalInvariantViolation it raises.
     """
     totals = []
     for _ in range(t):
-        rows, parts = _select_raw(seqs, bounds)
-        seqs = _remove_raw(seqs, rows)
-        _check_bounds(seqs, bounds, where)
+        rows, parts = _select_raw(work, bounds)
+        _remove_rows(work, rows)
+        _check_bounds(work, bounds, where)
         totals.append(sum(parts))
-    return totals, seqs
+    return totals
 
 
 def _check_bounds(seqs, bounds, where):
@@ -290,9 +301,8 @@ def iterate_remove(
     """
     if t < 0:
         raise ValueError("t must be non-negative")
-    totals, residue = _iterate_remove_raw(
-        seq.part_tuples(), seq.bounds, t, lambda: repr(seq)
-    )
+    work = [list(p.parts) for p in seq.partitions]
+    totals = _remove_iterated(work, seq.bounds, t, lambda: repr(seq))
     return tuple(totals), PartitionSequence(
-        tuple(Partition._fromparts(tuple(s)) for s in residue), seq.bounds
+        tuple(Partition._fromparts(tuple(s)) for s in work), seq.bounds
     )

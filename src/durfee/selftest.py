@@ -39,6 +39,7 @@ from .select_insert import (
     _grow_raw,
     _insert_raw,
     _remove_raw,
+    _remove_rows,
     _select_raw,
     insert,
     remove_selected,
@@ -490,7 +491,10 @@ def _check_sequence(tally: _Tally, seqs, bounds, extra: int, tails) -> list:
     first = seqs[0]
 
     # incremental insertion: one cell at a time from a = A to A + extra
-    work = _base_insert_raw(lseqs, rows, parts)
+    # the input as part lists, to compare with removals done in place
+    llists = list(map(list, seqs))
+    work = list(map(list, seqs))
+    _base_insert_raw(work, rows, parts)
     steps = []
     for a in range(A, A + extra + 1):
         if a > A:
@@ -499,11 +503,9 @@ def _check_sequence(tally: _Tally, seqs, bounds, extra: int, tails) -> list:
         steps.append(mu)
         mrows, mparts = _select_raw(mu, bounds)
         tally.add("inserted sequence selects total a", sum(mparts) == a, lambda: where(f"a={a}"))
-        tally.add(
-            "removal undoes insertion",
-            _remove_raw(mu, mrows) == lseqs,
-            lambda: where(f"a={a}"),
-        )
+        back = list(map(list, work))
+        _remove_rows(back, mrows)
+        tally.add("removal undoes insertion", back == llists, lambda: where(f"a={a}"))
         # uniqueness: among all ways of inserting one part into each
         # partition within the bounds, exactly one candidate both selects
         # total a and gives back the original sequence when its selected
@@ -529,7 +531,8 @@ def _check_sequence(tally: _Tally, seqs, bounds, extra: int, tails) -> list:
             lambda: where(f"a={a}", f"matches={matches}"),
         )
 
-    jump = _base_insert_raw(lseqs, rows, parts)
+    jump = list(map(list, seqs))
+    _base_insert_raw(jump, rows, parts)
     _grow_raw(jump, bounds, extra)
     tally.add("one jump equals unit steps", jump == work, lambda: where(f"a={A + extra}"))
     return steps

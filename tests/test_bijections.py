@@ -1,15 +1,25 @@
 import pytest
 
 from durfee import (
+    DurfeeDecomposition,
     Partition,
+    PartitionSequence,
+    compose,
+    decompose,
     dyson_map,
     dyson_rank,
     gen_conjugate,
     gen_dyson,
     gen_dyson_inverse,
+    insert,
+    iterate_remove,
     partitions_of,
+    profile,
+    remove_selected,
+    select,
 )
 from durfee.errors import (
+    DurfeeError,
     InternalInvariantViolation,
     InvalidDecomposition,
     NoSuchDecomposition,
@@ -69,17 +79,18 @@ def test_gen_dyson_inverse_rejects_unreachable_images():
 
 
 def test_internal_violation_names_input_and_parameters(monkeypatch):
-    import durfee.bijections as bij
+    import durfee.select_insert as si
 
     lam = P([10, 8, 8, 6, 5, 3, 3, 2, 2, 2, 1, 1, 1])
     mu = gen_dyson(lam, 2, 0, 0)
     assert gen_dyson_inverse(mu, 2, 0, 0) == lam
-    real = bij._remove_raw
+    real = si._remove_rows
 
-    def off_by_one(seqs, rows):
-        return real(seqs, [j + 1 for j in rows])
+    def off_by_one(work, rows):
+        real(work, [j + 1 for j in rows])
 
-    monkeypatch.setattr(bij, "_remove_raw", off_by_one)
+    # every removal, copying or in place, goes through the in-place helper
+    monkeypatch.setattr(si, "_remove_rows", off_by_one)
     with pytest.raises(InternalInvariantViolation) as err:
         gen_dyson_inverse(mu, 2, 0, 0)
     assert f"{mu.text()}, k=2, m=0, r=0" in str(err.value)
@@ -91,13 +102,100 @@ def test_conjugate_violation_names_input_and_parameters(monkeypatch):
     lam = P([9, 8, 8, 6, 5, 4, 3, 2, 2, 2, 1, 1, 1, 1, 1])
     assert gen_conjugate(gen_conjugate(lam, 2), 2) == lam
 
-    def remove_nothing(seqs, rows):
-        return list(seqs)
+    def remove_nothing(work, rows):
+        pass
 
     # the sides keep their selected parts, so the smallest column put back
     # is below the selection total
-    monkeypatch.setattr(si, "_remove_raw", remove_nothing)
+    monkeypatch.setattr(si, "_remove_rows", remove_nothing)
     with pytest.raises(InternalInvariantViolation) as err:
         gen_conjugate(lam, 2)
     assert "column insertion order broke a >= A" in str(err.value)
     assert f"{lam.text()}, k=2, m=0" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# The in-place maps against references built from the public operations
+# ---------------------------------------------------------------------------
+
+
+def _sequence(d):
+    return PartitionSequence(d.sides, profile(d))
+
+
+def _conjugate_reference(lam, k):
+    d = decompose(lam, k, 0)
+    n_k = d.widths[-1]
+    totals, seq = iterate_remove(_sequence(d), n_k)
+    cols = d.below.conjugate().parts
+    for j in range(n_k, 0, -1):
+        seq = insert(cols[j - 1] if j <= len(cols) else 0, seq)
+    new_below = P([t for t in totals if t]).conjugate()
+    return compose(DurfeeDecomposition(0, k, d.widths, seq.partitions, new_below))
+
+
+def _dyson_references(lam, k, m, rs):
+    """gen_dyson's image at each r in rs, or None where it must refuse."""
+    d = decompose(lam, k, m)
+    seq = _sequence(d)
+    a, t = select(seq).total, len(d.below)
+    beta = P([x - 1 for x in d.below if x > 1])
+    widths = tuple(w - 1 for w in d.widths)
+    return [
+        None if min(d.widths) == 0 or a - t > -r
+        else compose(DurfeeDecomposition(m + 2, k, widths, insert(t - r, seq).partitions, beta))
+        for r in rs
+    ]
+
+
+def _dyson_inverse_references(mu, k, m, rs):
+    """gen_dyson_inverse's preimage at each r in rs, or None where it must refuse."""
+    d = decompose(mu, k, m + 2)
+    trace, residue = remove_selected(_sequence(d))
+    a, b = trace.total, len(d.below)
+    widths = tuple(w + 1 for w in d.widths)
+    return [
+        None if a - b < -r or min(widths) + m < 1
+        else compose(DurfeeDecomposition(
+            m, k, widths, residue.partitions, P([x + 1 for x in d.below] + [1] * (a + r - b))
+        ))
+        for r in rs
+    ]
+
+
+REFUSALS = (RankTooLarge, RankTooSmall, ZeroWidthRectangle, InvalidDecomposition)
+
+
+def _outcome(f, *args):
+    """(None, result), or (exception class, message)."""
+    try:
+        return None, f(*args)
+    except DurfeeError as e:
+        return type(e), str(e)
+
+
+def test_maps_match_public_operation_references():
+    rs = range(-2, 3)
+    images = 0
+    for n in range(17):
+        for lam in partitions_of(n):
+            for k in (1, 2, 3):
+                assert _outcome(gen_conjugate, lam, k) == _outcome(_conjugate_reference, lam, k)
+                for m in range(-2, 3):
+                    for f, refs in ((gen_dyson, _dyson_references),
+                                    (gen_dyson_inverse, _dyson_inverse_references)):
+                        try:
+                            wants = refs(lam, k, m, rs)
+                        except NoSuchDecomposition as e:
+                            # no rectangles: the map raises the same, for every r
+                            for r in rs:
+                                assert _outcome(f, lam, k, m, r) == (NoSuchDecomposition, str(e))
+                            continue
+                        for r, want in zip(rs, wants):
+                            got = _outcome(f, lam, k, m, r)
+                            if want is None:
+                                assert got[0] in REFUSALS, (f.__name__, lam, k, m, r, got)
+                            else:
+                                assert got == (None, want), (f.__name__, lam, k, m, r)
+                                images += 1
+    assert images > 30000

@@ -47,6 +47,28 @@ def test_constructor_rejects_bad_parts():
         Partition([2, 0])
     with pytest.raises(ValueError):
         Partition([-1])
+    # the first offending part is named, as it was by the part-by-part loop
+    with pytest.raises(ValueError, match="positive, got 0"):
+        Partition([3, 0, -1])
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        Partition([1, 2, 0])
+
+
+def test_constructor_rejects_non_integer_parts():
+    # a float used to be truncated and a bool or digit string read as an int
+    for bad in ([2.5, 1], [True], ["3"], [3, 2, 1.0], [2, False]):
+        with pytest.raises(TypeError, match="exact integers"):
+            Partition(bad)
+    with pytest.raises(TypeError):
+        Partition("321")
+    assert Partition((4, 4, 2)).parts == (4, 4, 2)
+    assert Partition(iter([3, 1])).parts == (3, 1)
+
+    class Count(int):
+        pass
+
+    # an int subclass other than bool is accepted and stored as a plain int
+    assert [type(x) for x in Partition([Count(2), 1]).parts] == [int, int]
 
 
 def test_conjugate_examples():
