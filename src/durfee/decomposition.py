@@ -47,13 +47,8 @@ class DurfeeDecomposition(NamedTuple):
     below: Partition
 
     def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "k": self.k,
-            "widths": list(self.widths),
-            "sides": [s.text() for s in self.sides],
-            "below": self.below.text(),
-        }
+        sides = [s.parts for s in self.sides]
+        return _decomposition_json(self.m, self.k, self.widths, sides, self.below.parts)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DurfeeDecomposition":
@@ -64,6 +59,17 @@ class DurfeeDecomposition(NamedTuple):
             sides=tuple(Partition.from_text(s) for s in d["sides"]),
             below=Partition.from_text(d["below"]),
         )
+
+
+def _decomposition_json(m, k, widths, sides, below) -> dict:
+    """``DurfeeDecomposition.to_json_dict`` of ``_decompose_raw`` output."""
+    return {
+        "m": m,
+        "k": k,
+        "widths": list(widths),
+        "sides": list(map(_parts_text, sides)),
+        "below": _parts_text(below),
+    }
 
 
 def decompose(lam: Partition, k: int, m: int) -> DurfeeDecomposition:

@@ -113,14 +113,8 @@ class Partition:
 
     @classmethod
     def from_text(cls, s: str) -> "Partition":
-        s = s.strip()
-        if s == "-" or s == "":
-            return _EMPTY
-        try:
-            parts = tuple(map(int, s.split(",")))
-        except ValueError:
-            raise ValueError(f"bad partition text {s!r}") from None
-        return cls(parts)
+        ps = _parse_parts(s)
+        return cls._fromparts(ps) if ps else _EMPTY
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -144,6 +138,25 @@ class Partition:
 
 
 _EMPTY = Partition._fromparts(())
+
+
+def _parse_parts(s: str) -> tuple[int, ...]:
+    """``Partition.from_text`` as a validated part tuple.
+
+    Raises what ``from_text`` raises: ValueError for text that is not
+    comma-separated integers, and the constructor's ValueError, naming the
+    first bad part, for parts that are not positive and weakly decreasing.
+    """
+    s = s.strip()
+    if s == "-" or s == "":
+        return ()
+    try:
+        ps = tuple(map(int, s.split(",")))
+    except ValueError:
+        raise ValueError(f"bad partition text {s!r}") from None
+    if ps[-1] < 1 or any(map(lt, ps, ps[1:])):
+        Partition(ps)  # fails here, with the constructor's message
+    return ps
 
 
 def _parts_text(ps) -> str:

@@ -4,7 +4,7 @@ coefficient-level verification of the partition identities."""
 from __future__ import annotations
 
 from itertools import accumulate, chain
-from operator import add, sub
+from operator import add, neg, sub
 from typing import NamedTuple
 
 from .errors import UnknownIdentity, UnsupportedRegion
@@ -30,9 +30,13 @@ class QSeries:
 
     def __init__(self, coeffs, order: int | None = None):
         cs = list(coeffs)
-        for c in cs:
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise TypeError(f"coefficients must be exact integers, got {c!r}")
+        # one C-level pass for the types; the loop runs only to name the
+        # first bad coefficient (an int subclass other than bool is converted)
+        if not set(map(type, cs)) <= {int}:
+            for c in cs:
+                if not isinstance(c, int) or isinstance(c, bool):
+                    raise TypeError(f"coefficients must be exact integers, got {c!r}")
+            cs = list(map(int, cs))
         if order is None:
             if not cs:
                 raise ValueError("need coefficients or an explicit order")
@@ -47,6 +51,15 @@ class QSeries:
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "order", order)
 
+    @classmethod
+    def _fromcoeffs(cls, cs, order: int) -> "QSeries":
+        # Fast path for the kernels: exactly order + 1 int coefficients,
+        # already priced.
+        self = object.__new__(cls)
+        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "order", order)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("QSeries is immutable")
 
@@ -60,22 +73,18 @@ class QSeries:
 
     def __add__(self, other: "QSeries") -> "QSeries":
         T = min(self.order, other.order)
-        return QSeries(
-            [a + b for a, b in zip(self.coeffs[: T + 1], other.coeffs[: T + 1])], T
-        )
+        return QSeries._fromcoeffs(map(add, self.coeffs[: T + 1], other.coeffs[: T + 1]), T)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         T = min(self.order, other.order)
-        return QSeries(
-            [a - b for a, b in zip(self.coeffs[: T + 1], other.coeffs[: T + 1])], T
-        )
+        return QSeries._fromcoeffs(map(sub, self.coeffs[: T + 1], other.coeffs[: T + 1]), T)
 
     def __neg__(self) -> "QSeries":
-        return QSeries([-a for a in self.coeffs], self.order)
+        return QSeries._fromcoeffs(map(neg, self.coeffs), self.order)
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         T = min(self.order, other.order)
-        return QSeries(_mul(self.coeffs, other.coeffs, T), T)
+        return QSeries._fromcoeffs(_mul(self.coeffs, other.coeffs, T), T)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, QSeries):
@@ -213,7 +222,7 @@ def _product(order: int, progressions, inverse: bool, what: str) -> QSeries:
         cs[n0:] = map(gain, cs[n0:], sums[d])
         if n1 + d <= order:
             cs[n1 + d :] = map(undo, cs[n1 + d :], sums[d])
-    return QSeries(cs, order)
+    return QSeries._fromcoeffs(cs, order)
 
 
 def pochhammer(n: int | None, order: int) -> QSeries:
@@ -233,7 +242,7 @@ def inv_euler(order: int) -> QSeries:
     Read off ``p_table``, Euler's pentagonal recurrence, in O(order^1.5),
     and refused as it refuses.
     """
-    return QSeries(p_table(order), order)
+    return QSeries._fromcoeffs(p_table(order), order)
 
 
 def _levels_plan(k: int, exponent, low: int, top: int, order: int) -> tuple[list[list[int]], int]:
@@ -325,7 +334,7 @@ def multisum_lhs(k: int, a_shift: int | None, order: int) -> QSeries:
     later for small k, and at k = 1 once the order + 1 coefficients alone
     pass it.
     """
-    return QSeries(_multisum(k, a_shift, order), order)
+    return QSeries._fromcoeffs(_multisum(k, a_shift, order), order)
 
 
 def _multisum(k: int, a_shift: int | None, order: int) -> list[int]:
@@ -369,7 +378,7 @@ def _theta(k: int, order: int) -> QSeries:
         if not hit and j > 0:
             break
         j += 1
-    return QSeries(cs, order)
+    return QSeries._fromcoeffs(cs, order)
 
 
 def schur_rhs(k: int, order: int) -> QSeries:
@@ -384,7 +393,7 @@ def schur_rhs(k: int, order: int) -> QSeries:
     _refuse_euler_division(order)
     cs = list(_theta(k, order).coeffs)
     _divide_by_euler(cs)
-    return QSeries(cs, order)
+    return QSeries._fromcoeffs(cs, order)
 
 
 def rr_product(k: int, a_shift: int, order: int) -> QSeries:
@@ -446,7 +455,7 @@ def _h_closed_form(k: int, m: int, r: int, order: int) -> QSeries:
             cs[e] += 1 if j % 2 == 1 else -1
         j += 1
     _divide_by_euler(cs)
-    return QSeries(cs, order)
+    return QSeries._fromcoeffs(cs, order)
 
 
 class VerificationReport(NamedTuple):

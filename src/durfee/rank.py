@@ -24,14 +24,12 @@ class RankStats(NamedTuple):
     widths: tuple[int, ...]
 
     def to_json_dict(self, k: int, m: int | None) -> dict:
-        return {
-            "k": k,
-            "m": m,
-            "widths": list(self.widths),
-            "a": self.a,
-            "b": self.b,
-            "r": self.r,
-        }
+        return _rank_json(k, m, self.widths, self.a, self.b, self.r)
+
+
+def _rank_json(k: int, m: int | None, widths, a: int, b: int, r: int) -> dict:
+    """``RankStats.to_json_dict`` of its fields."""
+    return {"k": k, "m": m, "widths": list(widths), "a": a, "b": b, "r": r}
 
 
 def dyson_rank(lam: Partition) -> int:

@@ -337,30 +337,30 @@ def decomposition_invariants() -> list[CheckResult]:
                         tally.add(
                             "m<=0 decomposition exists iff enough rectangles",
                             m <= 0,
-                            f"{lam.text()} k={k} m={m}",
+                            lambda: f"{lam.text()} k={k} m={m}",
                         )
                         break
                     tally.add(
                         "compose inverts decompose",
                         compose(d) == lam,
-                        f"{lam.text()} k={k} m={m}",
+                        lambda: f"{lam.text()} k={k} m={m}",
                     )
                     tally.add(
                         "maximality: wider rectangle does not fit",
                         _maximality_ok(lam, d),
-                        f"{lam.text()} k={k} m={m}",
+                        lambda: f"{lam.text()} k={k} m={m}",
                     )
                     if m == 0:
                         tally.add(
                             "m=0 matches classical Durfee squares",
                             d.widths == squares[:k],
-                            f"{lam.text()} k={k}",
+                            lambda: f"{lam.text()} k={k}",
                         )
                     if prev is not None:
                         tally.add(
                             "nesting: first k rectangles stable",
                             d.widths[: k - 1] == prev,
-                            f"{lam.text()} k={k} m={m}",
+                            lambda: f"{lam.text()} k={k} m={m}",
                         )
                     prev = d.widths
     return tally.results("decomposition")
@@ -647,7 +647,10 @@ def involution_suite() -> list[CheckResult]:
                 st = rank_km(lam, k, 0)
                 mu = gen_conjugate(lam, k)
                 st2 = rank_km(mu, k, 0)
-                where = f"{lam.text()} k={k}"
+
+                def where():
+                    return f"{lam.text()} k={k}"
+
                 tally.add("size preserved", mu.size == lam.size, where)
                 tally.add("widths preserved", st2.widths == st.widths, where)
                 tally.add(
@@ -662,7 +665,7 @@ def involution_suite() -> list[CheckResult]:
                 tally.add(
                     "k=1 equals classical conjugation",
                     gen_conjugate(lam, 1) == lam.conjugate(),
-                    lam.text(),
+                    lam.text,
                 )
     return tally.results("involution")
 
@@ -697,7 +700,10 @@ def dyson_suite() -> list[CheckResult]:
                             continue
                         t = st.b
                         mu = gen_dyson(lam, k, m, r)
-                        where = f"{lam.text()} k={k} m={m} r={r}"
+
+                        def where():
+                            return f"{lam.text()} k={k} m={m} r={r}"
+
                         tally.add("size law", mu.size == n2, where)
                         st2 = rank_km(mu, k, m + 2)
                         tally.add(
@@ -716,7 +722,7 @@ def dyson_suite() -> list[CheckResult]:
                     tally.add(
                         "map is injective",
                         len(set(images)) == len(images),
-                        f"k={k} m={m} r={r} n={n}",
+                        lambda: f"k={k} m={m} r={r} n={n}",
                     )
                     codomain = []
                     for mu, st2 in stats_for(n2, k, m + 2):
@@ -727,14 +733,14 @@ def dyson_suite() -> list[CheckResult]:
                     tally.add(
                         "image matches codomain",
                         sorted(p.parts for p in images) == sorted(p.parts for p in codomain),
-                        f"k={k} m={m} r={r} n={n}: {len(images)} vs {len(codomain)}",
+                        lambda: f"k={k} m={m} r={r} n={n}: {len(images)} vs {len(codomain)}",
                     )
                     for mu in codomain:
                         lam = gen_dyson_inverse(mu, k, m, r)
                         tally.add(
                             "map undoes inverse",
                             gen_dyson(lam, k, m, r) == mu,
-                            f"{mu.text()} k={k} m={m} r={r}",
+                            lambda: f"{mu.text()} k={k} m={m} r={r}",
                         )
     for n in range(1, min(max_n, 15) + 1):
         for lam in partitions_of(n):
@@ -748,7 +754,7 @@ def dyson_suite() -> list[CheckResult]:
                     tally.add(
                         "k=1 equals the classic map with shifted parameter",
                         gen_dyson(lam, 1, m, r) == dyson_map(lam, -r - m),
-                        f"{lam.text()} m={m} r={r}",
+                        lambda: f"{lam.text()} m={m} r={r}",
                     )
     return tally.results("m-shift map")
 

@@ -83,6 +83,32 @@ def test_coefficients_must_be_ints():
         QSeries([1.0, 2])
     with pytest.raises(TypeError):
         QSeries([True])
+    # the first bad coefficient is named
+    with pytest.raises(TypeError, match=r"got 2\.5$"):
+        QSeries([1, 2.5, True])
+    with pytest.raises(TypeError, match="got False$"):
+        QSeries(iter([3, False, 1.0]), 5)
+
+    class Big(int):
+        pass
+
+    s = QSeries([Big(3), 1])
+    assert s == QSeries([3, 1]) and {type(c) for c in s.coeffs} == {int}
+
+
+def test_kernel_outputs_are_what_the_constructor_builds():
+    # the kernels skip the constructor's checks, so each output must already
+    # be order + 1 exact integers
+    a, b = QSeries([1, -2, 3], 6), QSeries([5, 0, -1, 7], 4)
+    for order in (0, 1, 7, 40):
+        outputs = [pochhammer(None, order), pochhammer(3, order), inv_euler(order),
+                   multisum_lhs(3, None, order), multisum_lhs(3, 2, order), schur_rhs(2, order),
+                   rr_product(2, 1, order), *jacobi_specialization(2, order),
+                   _h_closed_form(1, 0, 1, order), a + b, a - b, -a, a * b]
+        for s in outputs:
+            assert type(s.coeffs) is tuple and {type(c) for c in s.coeffs} == {int}
+            assert len(s.coeffs) == s.order + 1
+            assert s == QSeries(list(s.coeffs), s.order)
 
 
 def test_pochhammer_values():
