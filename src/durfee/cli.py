@@ -91,6 +91,8 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_rank(args) -> int:
     k, m = args.k, args.m
+    if args.garvan and args.trace:
+        raise ValueError("--trace shows a selection walk, and Garvan's statistic has none")
 
     def garvan(ps):
         doc = garvan_rank(Partition._fromparts(ps), k).to_json_dict(k, None)
@@ -193,11 +195,8 @@ def _cmd_selftest(args) -> int:
     results = run_selftest(suites)
     bad = sum(1 for r in results if not r.ok)
     if args.json:
-        print(
-            json.dumps(
-                [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results]
-            )
-        )
+        for r in results:
+            print(_encode(r._asdict()))
     else:
         for r in results:
             if r.ok:

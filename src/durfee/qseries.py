@@ -430,8 +430,8 @@ def h_census_series(k: int, m: int, r: int, mode: str, order: int) -> QSeries:
     mode 'le' counts partitions with (k,m)-rank <= r, mode 'ge' with
     rank >= r.  Read off the census engine's bivariate rank series, which
     raises ImpracticalOrder above ``MAX_SERIES_COST`` coefficient additions:
-    beyond order 644 for k = 1 and 792 for k = 3 at m = 0, where a series
-    takes 0.14 s and 0.26 s on a 2-core VM.
+    beyond order 644 for k = 1 and 792 for k = 3 at m = 0 (the comment on
+    ``partition.MAX_SERIES_COST`` gives the time of a series at those caps).
     """
     from .census import _h, _rank_series  # census imports q_table from here
 

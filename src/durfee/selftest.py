@@ -8,12 +8,13 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable
+from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
 from .bijections import dyson_map, gen_conjugate, gen_dyson, gen_dyson_inverse
 from .census import h_count, rank_census
-from .decomposition import DurfeeDecomposition, compose, decompose, profile
+from .decomposition import DurfeeDecomposition, _widths_maximal, compose, decompose, profile
 from .errors import NoSuchDecomposition
 from .partition import (
     Partition,
@@ -216,7 +217,8 @@ def golden_examples() -> list[CheckResult]:
         ("golden: m-shift map k=3 m=-3 r=1", EX_MSHIFT_K3, 3, -3, 1),
         ("golden: m-shift map k=2 m=2 r=3", EX_MSHIFT_K2M2, 2, 2, 3),
     ):
-        out.append(_check(nm, _gen_dyson_contract_ok(lam, k, m, r)))
+        laws, _ = _dyson_image_laws(lam, rank_km(lam, k, m), k, m, r)
+        out.append(_check(nm, all(ok for _, ok in laws)))
     out.append(
         _check(
             "golden: m-shift map k=2 m=0 r=0 image",
@@ -258,19 +260,22 @@ def golden_examples() -> list[CheckResult]:
     return out
 
 
-def _gen_dyson_contract_ok(lam: Partition, k: int, m: int, r: int) -> bool:
-    before = rank_km(lam, k, m)
-    t = before.b
+def _dyson_image_laws(lam: Partition, st, k: int, m: int, r: int):
+    """The m-shift image contract: its five (law, ok) pairs and the image.
+
+    ``st`` is ``rank_km(lam, k, m)``.  The image's rank t - r - b' is at
+    least -r because b' <= t, so that bound needs no law of its own.
+    """
+    t = st.b
     mu = gen_dyson(lam, k, m, r)
     after = rank_km(mu, k, m + 2)
-    return (
-        mu.size == lam.size - r - k * (m + 1)
-        and after.widths == tuple(w - 1 for w in before.widths)
-        and after.a == t - r
-        and after.b <= t
-        and after.r >= -r
-        and gen_dyson_inverse(mu, k, m, r) == lam
-    )
+    return [
+        ("size law", mu.size == lam.size - r - k * (m + 1)),
+        ("width law", after.widths == tuple(w - 1 for w in st.widths)),
+        ("image selection total is t - r", after.a == t - r),
+        ("image below-count at most t", after.b <= t),
+        ("inverse returns the source", gen_dyson_inverse(mu, k, m, r) == lam),
+    ], mu
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +352,7 @@ def decomposition_invariants() -> list[CheckResult]:
                     )
                     tally.add(
                         "maximality: wider rectangle does not fit",
-                        _maximality_ok(lam, d),
+                        _widths_maximal(lam.parts, m, d.widths),
                         lambda: f"{lam.text()} k={k} m={m}",
                     )
                     if m == 0:
@@ -364,16 +369,6 @@ def decomposition_invariants() -> list[CheckResult]:
                         )
                     prev = d.widths
     return tally.results("decomposition")
-
-
-def _maximality_ok(lam: Partition, d: DurfeeDecomposition) -> bool:
-    off = 0
-    for w in d.widths:
-        row = off + (w + 1) + d.m
-        if row >= 1 and lam.part(row) >= w + 1:
-            return False
-        off += w + d.m
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +438,9 @@ def selection_invariants(max_total: int = 16, extra: int = 10) -> list[CheckResu
                 seen += 1
                 if seqs[1:] not in tails:
                     tails[seqs[1:]] = _valid_tails(seqs, bounds, candidates)
-                steps = _check_sequence(tally, seqs, bounds, extra, tails[seqs[1:]])
+                _check_sequence(tally, seqs, bounds, extra, tails[seqs[1:]])
                 if seen % spot_every == 0:
-                    _spot_check_public(tally, seqs, bounds, steps)
+                    _spot_check_public(tally, seqs, bounds, extra)
     return tally.results("selection")
 
 
@@ -467,8 +462,8 @@ def _bounded_sequences(k: int, bounds, max_total: int):
     yield from rec(0, max_total, ())
 
 
-def _check_sequence(tally: _Tally, seqs, bounds, extra: int, tails) -> list:
-    """Check the laws on one sequence; returns the inserted sequence per a."""
+def _check_sequence(tally: _Tally, seqs, bounds, extra: int, tails) -> None:
+    """Check the laws on one sequence."""
     lseqs = list(seqs)
     rows, parts = _select_raw(lseqs, bounds)
     A = sum(parts)
@@ -495,13 +490,10 @@ def _check_sequence(tally: _Tally, seqs, bounds, extra: int, tails) -> list:
     llists = list(map(list, seqs))
     work = list(map(list, seqs))
     _base_insert_raw(work, rows, parts)
-    steps = []
     for a in range(A, A + extra + 1):
         if a > A:
             _grow_raw(work, bounds, 1, (mrows, mparts))
-        mu = [tuple(w) for w in work]
-        steps.append(mu)
-        mrows, mparts = _select_raw(mu, bounds)
+        mrows, mparts = _select_raw(work, bounds)
         tally.add("inserted sequence selects total a", sum(mparts) == a, lambda: where(f"a={a}"))
         back = list(map(list, work))
         _remove_rows(back, mrows)
@@ -515,8 +507,8 @@ def _check_sequence(tally: _Tally, seqs, bounds, extra: int, tails) -> list:
         # select total 1, but only the latter removes back to the input.)
         # A candidate passes the removal test exactly when the walk
         # re-selects the inserted values, so only the screened tails plus
-        # a first-partition check remain; the match then equals mu iff its
-        # inserted values are mu's selected parts.
+        # a first-partition check remain; the match then is the inserted
+        # sequence iff its inserted values are that sequence's selected parts.
         matches = 0
         unique_ok = True
         for s_t, rest, j0 in tails:
@@ -535,14 +527,10 @@ def _check_sequence(tally: _Tally, seqs, bounds, extra: int, tails) -> list:
     _base_insert_raw(jump, rows, parts)
     _grow_raw(jump, bounds, extra)
     tally.add("one jump equals unit steps", jump == work, lambda: where(f"a={A + extra}"))
-    return steps
 
 
-def _spot_check_public(tally: _Tally, seqs, bounds, steps) -> None:
-    """Tie the raw helpers to the public API on a sampled sequence.
-
-    ``steps[e]`` is the sequence built by e single-cell steps.
-    """
+def _spot_check_public(tally: _Tally, seqs, bounds, extra: int) -> None:
+    """Tie the raw helpers to the public API on a sampled sequence."""
     seq = PartitionSequence(tuple(P._fromparts(t) for t in seqs), tuple(bounds))
     tr = select(seq)
     rows, parts = _select_raw(list(seqs), bounds)
@@ -551,13 +539,18 @@ def _spot_check_public(tally: _Tally, seqs, bounds, steps) -> None:
         tr.rows == tuple(rows) and tr.parts == tuple(parts),
         f"{seqs} {bounds}",
     )
-    for e, mu in enumerate(steps):
+    # grown one cell at a time: after e steps, the insertion of total + e
+    unit = list(map(list, seqs))
+    _base_insert_raw(unit, rows, parts)
+    for e in range(extra + 1):
+        if e:
+            _grow_raw(unit, bounds, 1)
         tally.add(
             "one jump equals unit steps",
-            _insert_raw(tr.total + e, list(seqs), bounds) == mu,
+            _insert_raw(tr.total + e, list(seqs), bounds) == list(map(tuple, unit)),
             f"{seqs} {bounds} a={tr.total + e}",
         )
-    a = tr.total + len(steps) - 1
+    a = tr.total + extra
     via_public = insert(a, seq)
     via_raw = _insert_raw(a, list(seqs), bounds)
     tally.add(
@@ -580,25 +573,33 @@ def _spot_check_public(tally: _Tally, seqs, bounds, steps) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _ranked(n: int, k: int, m: int) -> list:
+    """(lam, rank_km(lam, k, m)) for every partition of n with k successive
+    m-rectangles, in enumeration order."""
+    out = []
+    for lam in partitions_of(n):
+        try:
+            out.append((lam, rank_km(lam, k, m)))
+        except NoSuchDecomposition:
+            pass
+    return out
+
+
 def rank_invariants() -> list[CheckResult]:
     max_n, garvan_n = 25, 20
     tally = _Tally()
     for n in range(1, max_n + 1):
-        for lam in partitions_of(n):
-            dr = dyson_rank(lam)
-            for m in (-1, 0, 1, 2):
-                if len(lam) < m:
-                    # the first rectangle would extend below the diagram and
-                    # absorb the shift; the linear relation needs len >= m
-                    continue
-                st = rank_km(lam, 1, m) if m > 0 else _try_rank(lam, 1, m)
-                if st is None:
-                    continue
-                tally.add(
-                    "k=1 rank is Dyson rank plus m",
-                    st.r == dr + m,
-                    f"{lam.text()} m={m} got {st.r} want {dr + m}",
-                )
+        for m in (-1, 0, 1, 2):
+            for lam, st in _ranked(n, 1, m):
+                # with fewer than m parts the first rectangle would extend
+                # below the diagram and absorb the shift
+                if len(lam) >= m:
+                    dr = dyson_rank(lam)
+                    tally.add(
+                        "k=1 rank is Dyson rank plus m",
+                        st.r == dr + m,
+                        lambda: f"{lam.text()} m={m} got {st.r} want {dr + m}",
+                    )
     for n in range(garvan_n + 1):
         for lam in partitions_of(n):
             squares = durfee_square_widths(lam)
@@ -624,13 +625,6 @@ def rank_invariants() -> list[CheckResult]:
     return tally.results("rank")
 
 
-def _try_rank(lam, k, m):
-    try:
-        return rank_km(lam, k, m)
-    except NoSuchDecomposition:
-        return None
-
-
 # ---------------------------------------------------------------------------
 # Bijection suites.
 # ---------------------------------------------------------------------------
@@ -641,10 +635,8 @@ def involution_suite() -> list[CheckResult]:
     max_n, max_k = 24, 4
     tally = _Tally()
     for n in range(max_n + 1):
-        for lam in partitions_of(n):
-            squares = durfee_square_widths(lam)
-            for k in range(1, min(max_k, len(squares)) + 1):
-                st = rank_km(lam, k, 0)
+        for k in range(1, max_k + 1):
+            for lam, st in _ranked(n, k, 0):
                 mu = gen_conjugate(lam, k)
                 st2 = rank_km(mu, k, 0)
 
@@ -674,19 +666,8 @@ def dyson_suite() -> list[CheckResult]:
     """The m-shift map: round trips, image contract, domain/codomain match."""
     max_n, max_k, ms, rs = 18, 3, (-2, -1, 0, 1), (-1, 0, 1, 2)
     tally = _Tally()
-    stats_cache: dict = {}
-
-    def stats_for(n, k, m):
-        key = (n, k, m)
-        if key not in stats_cache:
-            entries = []
-            for lam in partitions_of(n):
-                st = _try_rank(lam, k, m)
-                if st is not None:
-                    entries.append((lam, st))
-            stats_cache[key] = entries
-        return stats_cache[key]
-
+    # each (n, k, m) is read for several r; the memo goes with the suite
+    ranked = lru_cache(maxsize=None)(_ranked)
     for k in range(1, max_k + 1):
         for m in ms:
             for r in rs:
@@ -695,29 +676,16 @@ def dyson_suite() -> list[CheckResult]:
                     if n2 < 0:
                         continue
                     images = []
-                    for lam, st in stats_for(n, k, m):
+                    for lam, st in ranked(n, k, m):
                         if st.r > -r or 0 in st.widths:
                             continue
-                        t = st.b
-                        mu = gen_dyson(lam, k, m, r)
+                        laws, mu = _dyson_image_laws(lam, st, k, m, r)
 
                         def where():
                             return f"{lam.text()} k={k} m={m} r={r}"
 
-                        tally.add("size law", mu.size == n2, where)
-                        st2 = rank_km(mu, k, m + 2)
-                        tally.add(
-                            "width law",
-                            st2.widths == tuple(w - 1 for w in st.widths),
-                            where,
-                        )
-                        tally.add("image selection total is t - r", st2.a == t - r, where)
-                        tally.add("image below-count at most t", st2.b <= t, where)
-                        tally.add(
-                            "inverse returns the source",
-                            gen_dyson_inverse(mu, k, m, r) == lam,
-                            where,
-                        )
+                        for law, ok in laws:
+                            tally.add(law, ok, where)
                         images.append(mu)
                     tally.add(
                         "map is injective",
@@ -725,7 +693,7 @@ def dyson_suite() -> list[CheckResult]:
                         lambda: f"k={k} m={m} r={r} n={n}",
                     )
                     codomain = []
-                    for mu, st2 in stats_for(n2, k, m + 2):
+                    for mu, st2 in ranked(n2, k, m + 2):
                         # widths below -m cannot come from positive-height
                         # m-rectangles, so they lie outside the image
                         if st2.r >= -r and all(w >= -m for w in st2.widths):
@@ -743,10 +711,9 @@ def dyson_suite() -> list[CheckResult]:
                             lambda: f"{mu.text()} k={k} m={m} r={r}",
                         )
     for n in range(1, min(max_n, 15) + 1):
-        for lam in partitions_of(n):
-            for m in ms:
-                st = _try_rank(lam, 1, m)
-                if st is None or 0 in st.widths:
+        for m in ms:
+            for lam, st in ranked(n, 1, m):
+                if 0 in st.widths:
                     continue
                 for r in rs:
                     if st.r > -r:
@@ -766,12 +733,7 @@ def dyson_suite() -> list[CheckResult]:
 
 def _enumerated_census(n: int, k: int, m: int) -> Counter:
     """Rank census by ranking every partition of n: the oracle of the engine."""
-    counts: Counter = Counter()
-    for lam in partitions_of(n):
-        st = _try_rank(lam, k, m)
-        if st is not None:
-            counts[st.r] += 1
-    return counts
+    return Counter(st.r for _, st in _ranked(n, k, m))
 
 
 def census_invariants() -> list[CheckResult]:
@@ -837,18 +799,12 @@ def equidistribution_suite() -> list[CheckResult]:
     tally = _Tally()
     for k in range(1, max_k + 1):
         for n in range(max_n + 1):
-            ours: Counter = Counter()
-            garvans: Counter = Counter()
-            for lam in partitions_of(n):
-                st = _try_rank(lam, k, 0)
-                if st is None:
-                    continue
-                ours[(st.widths, st.a, st.b)] += 1
-                gst = garvan_rank(lam, k)
-                garvans[(gst.widths, gst.a, gst.b)] += 1
+            ranked = _ranked(n, k, 0)
+            # r = a - b on both sides, so whole records compare the triples
+            ours = Counter(st for _, st in ranked)
             tally.add(
                 "joint (widths, a, b) multisets agree",
-                ours == garvans,
+                ours == Counter(garvan_rank(lam, k) for lam, _ in ranked),
                 f"n={n} k={k}",
             )
     return tally.results("equidistribution")

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from durfee import cli
 from durfee.qseries import IDENTITIES, VerificationReport
+from durfee.selftest import CheckResult, golden_examples
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -172,10 +173,25 @@ def test_selftest_golden_suite(capsys):
 
 
 def test_selftest_json(capsys):
+    # one object per check and line, with sorted keys
     code, out, _ = run(capsys, "selftest", "--suite", "golden", "--json")
     assert code == 0
-    doc = json.loads(out)
-    assert all(entry["ok"] for entry in doc)
+    docs = [json.loads(line) for line in out.splitlines()]
+    assert out == "".join(json.dumps(doc, sort_keys=True) + "\n" for doc in docs)
+    assert all(list(doc) == ["detail", "name", "ok"] for doc in docs)
+    assert [CheckResult(**doc) for doc in docs] == golden_examples()
+
+
+def test_rank_garvan_trace_refused_before_input(capsys, monkeypatch):
+    # Garvan's statistic has no selection walk to trace
+    class Unread:
+        def read(self):
+            raise AssertionError("stdin was read")
+
+    monkeypatch.setattr("sys.stdin", Unread())
+    for source in ("12,10,8,7,6,5,4,3,3,3,1,1", "--stdin"):
+        code, out, err = run(capsys, "rank", "--garvan", "--trace", "--k", "2", source)
+        assert code == 1 and out == "" and err.startswith("error[Usage]: "), (source, err)
 
 
 def test_selftest_unknown_suite_exit_1(capsys):
