@@ -7,7 +7,6 @@ the staircase partition identities.
 """
 
 from .bijections import dyson_map, gen_conjugate, gen_dyson, gen_dyson_inverse
-from .census import CensusTable, census, h_count, rank_census
 from .decomposition import DurfeeDecomposition, compose, decompose, profile
 from .partition import (
     Partition,
@@ -18,14 +17,18 @@ from .partition import (
 )
 from .qseries import (
     IDENTITIES,
+    CensusTable,
     QSeries,
     VerificationReport,
+    census,
     h_census_series,
+    h_count,
     inv_euler,
     jacobi_specialization,
     multisum_lhs,
     pochhammer,
     q_table,
+    rank_census,
     rr_product,
     schur_rhs,
     verify_identity,

@@ -15,11 +15,10 @@ import os
 import sys
 
 from .bijections import gen_conjugate, gen_dyson, gen_dyson_inverse
-from .census import census
 from .decomposition import _decompose_raw, _decomposition_json
 from .errors import DurfeeError
 from .partition import Partition, _conjugate_parts, _parse_parts, _parts_text
-from .qseries import IDENTITIES, verify_identity
+from .qseries import IDENTITIES, census, verify_identity
 from .rank import _rank_json, _rank_raw, garvan_rank, rank_km
 from .select_insert import SelectionTrace
 

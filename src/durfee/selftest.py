@@ -13,7 +13,6 @@ from itertools import product
 from typing import NamedTuple
 
 from .bijections import dyson_map, gen_conjugate, gen_dyson, gen_dyson_inverse
-from .census import h_count, rank_census
 from .decomposition import DurfeeDecomposition, _widths_maximal, compose, decompose, profile
 from .errors import NoSuchDecomposition
 from .partition import (
@@ -24,11 +23,13 @@ from .partition import (
 )
 from .qseries import (
     QSeries,
+    h_count,
     inv_euler,
     jacobi_specialization,
     multisum_lhs,
     pochhammer,
     q_table,
+    rank_census,
     rr_product,
     schur_rhs,
     verify_identity,

@@ -1,17 +1,13 @@
-import importlib
 import itertools
 import time
 
 import pytest
 
+import durfee.qseries as qseries_module
 from durfee import census, h_count, multisum_lhs, p_table, q_table
-from durfee.census import rank_census
 from durfee.errors import ImpracticalOrder
-from durfee.qseries import MAX_SERIES_COST, _levels_plan, h_census_series
+from durfee.qseries import MAX_SERIES_COST, _levels_plan, h_census_series, rank_census
 from durfee.selftest import _enumerated_census
-
-census_module = importlib.import_module("durfee.census")  # durfee.census is the function
-qseries_module = importlib.import_module("durfee.qseries")
 
 
 def test_census_classic_ranks_n4():
@@ -130,8 +126,8 @@ def test_census_refuses_orders_past_the_cap():
     assert time.perf_counter() - t < 0.1
     # the exact count puts the caps here; pricing alone builds no series
     for k, m, order in ((1, 0, 644), (3, 0, 792)):
-        assert census_module._series_plan(k, m, order)[2] <= MAX_SERIES_COST
-        assert census_module._series_plan(k, m, order + 1)[2] > MAX_SERIES_COST
+        assert qseries_module._series_plan(k, m, order)[2] <= MAX_SERIES_COST
+        assert qseries_module._series_plan(k, m, order + 1)[2] > MAX_SERIES_COST
 
 
 def test_census_cost_does_not_grow_with_k():
@@ -143,11 +139,11 @@ def test_census_cost_does_not_grow_with_k():
 
 def test_series_cache_hit_runs_no_cost_estimate(monkeypatch):
     estimates = []
-    real = census_module._series_plan
+    real = qseries_module._series_plan
     monkeypatch.setattr(
-        census_module, "_series_plan", lambda *a: estimates.append(a) or real(*a)
+        qseries_module, "_series_plan", lambda *a: estimates.append(a) or real(*a)
     )
-    census_module._rank_series.cache_clear()
+    qseries_module._rank_series.cache_clear()
     for n in range(1, 33):
         census(n, 2, 3)
         rank_census(n, 2, 3)
@@ -180,12 +176,12 @@ def test_cost_estimates_count_every_addition(monkeypatch, k):
         count[0] += sum(2 * (n - s) + 1 for n in range(s, len(rows)))
         real_shift_add_rows(rows, s, shift)
 
-    real_q_table = census_module.q_table
-    real_shift_add_rows = census_module._shift_add_rows
+    real_q_table = qseries_module.q_table
+    real_shift_add_rows = qseries_module._shift_add_rows
     monkeypatch.setattr(qseries_module, "add", add)
     monkeypatch.setattr(qseries_module, "accumulate", accumulate)
-    monkeypatch.setattr(census_module, "_shift_add_rows", shift_add_rows)
-    monkeypatch.setattr(census_module, "q_table", q_table_uncounted)
+    monkeypatch.setattr(qseries_module, "_shift_add_rows", shift_add_rows)
+    monkeypatch.setattr(qseries_module, "q_table", q_table_uncounted)
     def multisum_exponent(j, v):
         return v * v + (v if j >= k else 0)
 
@@ -195,9 +191,9 @@ def test_cost_estimates_count_every_addition(monkeypatch, k):
         assert count[0] == _levels_plan(k, multisum_exponent, 0, 0, order)[1]
         for m in range(-2, 3):
             count[0] = 0
-            census_module._rank_series.__wrapped__(k, m, order)
+            qseries_module._rank_series.__wrapped__(k, m, order)
             low = max(0, 1 - m)
             if k * low * (low + m) > order:  # no term: only the zero rows are built
                 assert count[0] == 0
                 count[0] = (order + 1) ** 2
-            assert count[0] == census_module._series_plan(k, m, order)[2], (m, order)
+            assert count[0] == qseries_module._series_plan(k, m, order)[2], (m, order)

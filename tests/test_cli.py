@@ -1,5 +1,5 @@
+import ast
 import contextlib
-import importlib
 import io
 import json
 import os
@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from durfee import cli
-from durfee.qseries import IDENTITIES, VerificationReport
+from durfee.qseries import IDENTITIES, VerificationReport, _rank_series
 from durfee.selftest import CheckResult, golden_examples
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -213,6 +213,38 @@ def test_cli_import_leaves_selftest_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_graph_is_acyclic():
+    # the modules import each other one way only, and qseries, which holds
+    # the census engine and its readers, imports nothing at call time
+    graph, late = {}, {}
+    for path in Path(cli.__file__).resolve().parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        graph[path.stem] = {
+            node.module for node in tree.body if isinstance(node, ast.ImportFrom) and node.level
+        }
+        late[path.stem] = [
+            node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body
+        ]
+    assert late["qseries"] == []
+    while graph:
+        leaves = [name for name, deps in graph.items() if not deps & graph.keys()]
+        assert leaves, f"import cycle among {sorted(graph)}"
+        for name in leaves:
+            del graph[name]
+    # durfee.census is the census function, never a module that shadows it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = (
+        "import sys, durfee, durfee.qseries;"
+        " print('durfee.census' in sys.modules, durfee.census is durfee.qseries.census)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.split() == ["False", "True"]
+
+
 def test_closed_pipe_exits_without_traceback(tmp_path):
     # the reader takes one line and goes; with far more output than a pipe
     # buffers, the next write fails, and the CLI must exit without a traceback
@@ -330,7 +362,7 @@ def test_cli_fuzz_exits_cleanly(argv):
             code = cli.main(argv)
     finally:
         # a near-cap rank series holds up to about 25 MB; keep at most one
-        importlib.import_module("durfee.census")._rank_series.cache_clear()
+        _rank_series.cache_clear()
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
     if code in (1, 3):
