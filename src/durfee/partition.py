@@ -21,8 +21,9 @@ MAX_PARTS = 1_000_000
 # before doing any and refuse past it with ImpracticalOrder.  Measured at
 # the caps on a 2-core VM (Python 3.11, best of 4): the census engine 0.18 s
 # (order 644, k = 1) and 0.29 s (order 792, k = 3), multisum_lhs 1.5 s
-# (order 2317, large k), pochhammer(None, 6324) 0.76 s,
-# jacobi_specialization(1, 6324) 0.73 s and p_table(69784) 2.2 s.
+# (order 2317, large k), pochhammer(None, 6324) 0.57 s,
+# jacobi_specialization(1, 6324) 0.57 s, rr_product(2, 2, 6324) 0.21 s
+# and p_table(69784) 2.2 s.
 MAX_SERIES_COST = 20_000_000
 
 

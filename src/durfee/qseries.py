@@ -28,6 +28,13 @@ from .partition import (
 )
 
 
+def _check_ints(optional=(), **args) -> None:
+    # TypeError naming the first argument neither an int (a bool is not) nor an optional None
+    for name, v in args.items():
+        if isinstance(v, bool) or not (isinstance(v, int) or v is None and name in optional):
+            raise TypeError(f"{name} must be an int{' or None' * (name in optional)}, got {v!r}")
+
+
 class QSeries:
     """Coefficients c_0..c_T of a series known modulo q^(T+1).
 
@@ -40,6 +47,7 @@ class QSeries:
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs, order: int | None = None):
+        _check_ints(("order",), order=order)
         cs = list(coeffs)
         # one C-level pass for the types; the loop runs only to name the
         # first bad coefficient (an int subclass other than bool is converted)
@@ -83,10 +91,14 @@ class QSeries:
         return cls([0], order)
 
     def __add__(self, other: "QSeries") -> "QSeries":
+        if not isinstance(other, QSeries):
+            return NotImplemented
         T = min(self.order, other.order)
         return QSeries._fromcoeffs(map(add, self.coeffs[: T + 1], other.coeffs[: T + 1]), T)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
+        if not isinstance(other, QSeries):
+            return NotImplemented
         T = min(self.order, other.order)
         return QSeries._fromcoeffs(map(sub, self.coeffs[: T + 1], other.coeffs[: T + 1]), T)
 
@@ -94,6 +106,8 @@ class QSeries:
         return QSeries._fromcoeffs(map(neg, self.coeffs), self.order)
 
     def __mul__(self, other: "QSeries") -> "QSeries":
+        if not isinstance(other, QSeries):
+            return NotImplemented
         T = min(self.order, other.order)
         return QSeries._fromcoeffs(_mul(self.coeffs, other.coeffs, T), T)
 
@@ -148,21 +162,16 @@ def _pack(cs, width: int) -> int:
     )
 
 
-def _times_one_minus(cs: list[int], n: int) -> None:
-    # in place multiply by (1 - q^n)
-    if n < len(cs):
-        cs[n:] = map(sub, cs[n:], cs[:-n])
-
-
-def _times_geometric(cs: list[int], n: int) -> None:
-    # in place multiply by 1/(1 - q^n) = 1 + q^n + q^2n + ...: a running sum
-    # along each residue class mod n, or block by block when blocks are long
-    size = len(cs)
-    if n * n < size:
-        for r in range(n):
+def _times_geometric(cs: list[int], n: int, start: int) -> None:
+    # in place times 1/(1 - q^n) from q^start on, the coefficients below it
+    # final: cs[j] += cs[j - n] for j >= max(start, n) ascending, size -
+    # max(start, n) additions, along each residue class mod n or block by block
+    size, start = len(cs), max(start, n)
+    if n * n < size - start + n:
+        for r in range(start - n, start):
             cs[r::n] = accumulate(cs[r::n])
     else:
-        for i in range(n, size, n):
+        for i in range(start, size, n):
             cs[i : i + n] = map(add, cs[i : i + n], cs[i - n : i])
 
 
@@ -170,8 +179,8 @@ def _passes_cost(order: int, first: int, step: int, last: int) -> int:
     """Additions of the passes (1 - q^n)^(+-1) over order + 1 coefficients
     for n = first, first + step, ... <= last: order + 1 - n each.
 
-    The price of ``_product``, and an upper bound on its work: past
-    order // 2 its tail step makes no more additions than these passes."""
+    The price of ``_product``, and an upper bound on its work, which skips
+    the zero window of each pass."""
     if first > last:
         return 0
     count = (last - first) // step + 1
@@ -182,57 +191,39 @@ def _product(order: int, progressions, inverse: bool, what: str) -> QSeries:
     """prod of (1 - q^n)^(-1 if inverse else 1) over every n in the disjoint
     ``progressions`` (ranges of n >= 1), truncated at q^order.
 
-    The one product kernel.  Its price is the passes it would run one
-    factor at a time (``_passes_cost`` per progression, an upper bound,
-    summed only until past the cap, so a long lazy iterable of progressions
-    is not listed), but at least its order + 1 coefficients; past
-    MAX_SERIES_COST it raises ImpracticalOrder before any is allocated.
+    The one product kernel.  Its price is ``_passes_cost`` per progression
+    clipped at the order (summed only until past the cap, so a long lazy
+    iterable of progressions is not listed), but at least its order + 1
+    coefficients; past MAX_SERIES_COST it raises ImpracticalOrder before
+    any is allocated.
 
-    The factors n <= order // 2 run as passes in ascending n across all
-    progressions, so the partial products stay small.  The factors past
-    order // 2 then go in with one tail step: any two of them multiply past
-    q^order, and there 1/(1 - q^n) = 1 + q^n, so together they are
-    1 -+ sum q^n.  For a progression n0, n0 + d, ..., n1 the coefficient
-    of q^j gains -+(S[j - n0] - S[j - n1 - d]), where S is the step-d
-    running sum of the coefficients, made once per step d and only as long
-    as the lowest tail of that step reads, so below order - order // 2.
-    The step reads only there and writes only from q^(order // 2 + 1) on,
-    so it runs in place.  A tail of three or more factors makes at most
-    the additions of its passes n0, n0 + d and n1 (the two sweeps and S);
-    a tail of one or two runs as passes.  So the price bounds the work.
+    The factors go in largest first, so cs[1:low] stays zero, low the
+    smallest factor so far, and q^n cs reaches only q^n and q^(n + low) on.
+    A pass (1 - q^n) sets q^n to -1 and subtracts one slice of order + 1 -
+    n - low coefficients; a pass 1/(1 - q^n) runs one running sum along the
+    multiples of n below n + low and its step-n running sums from q^(n +
+    low) on.  Either makes at most order + 1 - n additions, so the price
+    bounds the work, and a factor past order // 2 costs O(1).
     """
     if order < 0:
         raise ValueError("order must be non-negative")
     passes, cost = [], 0
     for p in progressions:
+        p = range(p.start, min(p.stop, order + 1), p.step)  # a factor past q^order is 1
         cost += _passes_cost(order, p.start, p.step, p.stop - 1)
         if cost > MAX_SERIES_COST:
             break
         passes.append(p)
     _refuse_above_cap(max(order + 1, cost), what)
-    cs = [0] * (order + 1)
-    cs[0] = 1
-    low, tails = [], []
-    for p in passes:
-        below = range(p.start, min(p.stop, order // 2 + 1), p.step)
-        if len(p) - len(below) < 3:  # a short tail costs less as passes
-            low.append(p)
+    cs, low = [1] + [0] * order, order + 1
+    for n in sorted(chain.from_iterable(passes), reverse=True):
+        if inverse:
+            cs[: n + low : n] = accumulate(cs[: n + low : n])
+            _times_geometric(cs, n, n + low)
         else:
-            low.append(below)
-            tails.append(p[len(below) :])
-    times = _times_geometric if inverse else _times_one_minus
-    for n in sorted(chain.from_iterable(low)):
-        times(cs, n)
-    gain, undo = (add, sub) if inverse else (sub, add)
-    sums = {}  # step d -> S, as long as the lowest tail of that step reads
-    for tail in sorted(tails, key=lambda t: t.start):
-        d, n0, n1 = tail.step, tail.start, tail[-1]
-        if d not in sums:
-            sums[d] = cs[: order + 1 - n0]
-            _times_geometric(sums[d], d)
-        cs[n0:] = map(gain, cs[n0:], sums[d])
-        if n1 + d <= order:
-            cs[n1 + d :] = map(undo, cs[n1 + d :], sums[d])
+            cs[n] = -1
+            cs[n + low :] = map(sub, cs[n + low :], cs[low : order + 1 - n])
+        low = n
     return QSeries._fromcoeffs(cs, order)
 
 
@@ -241,6 +232,7 @@ def pochhammer(n: int | None, order: int) -> QSeries:
 
     Priced and refused as ``_product`` prices and refuses.
     """
+    _check_ints(("n",), n=n, order=order)
     if n is not None and n < 0:
         raise ValueError("n must be non-negative or None")
     top = order if n is None else min(n, order)
@@ -253,6 +245,7 @@ def inv_euler(order: int) -> QSeries:
     Read off ``p_table``, Euler's pentagonal recurrence, in O(order^1.5),
     and refused as it refuses.
     """
+    _check_ints(order=order)
     return QSeries._fromcoeffs(p_table(order), order)
 
 
@@ -318,7 +311,7 @@ def _durfee_levels(plan: list[list[int]], order: int) -> list[list[int]]:
             base, cs = h[-1]
             acc = cs + [0] * (order + 1 - base - len(cs))
             for u in range(len(h) - 2, v - 1, -1):
-                _times_geometric(acc, u - v + 1)
+                _times_geometric(acc, u - v + 1, 0)
                 lowest, cs = h[u]
                 d = base - lowest
                 acc = cs[:d] + [0] * (d - len(cs)) + acc
@@ -345,6 +338,7 @@ def multisum_lhs(k: int, a_shift: int | None, order: int) -> QSeries:
     later for small k, and at k = 1 once the order + 1 coefficients alone
     pass it.
     """
+    _check_ints(("a_shift",), k=k, a_shift=a_shift, order=order)
     return QSeries._fromcoeffs(_multisum(k, a_shift, order), order)
 
 
@@ -634,6 +628,7 @@ def schur_rhs(k: int, order: int) -> QSeries:
     Priced and refused as ``p_table`` (so as ``inv_euler``), before the
     theta sum is allocated.
     """
+    _check_ints(k=k, order=order)
     if k < 1:
         raise ValueError("k must be positive")
     _refuse_euler_division(order)
@@ -645,6 +640,7 @@ def schur_rhs(k: int, order: int) -> QSeries:
 def rr_product(k: int, a_shift: int, order: int) -> QSeries:
     """Product over n not congruent to 0 or +-a_shift mod 2k+1 of 1/(1-q^n),
     priced and refused like ``pochhammer``."""
+    _check_ints(k=k, a_shift=a_shift, order=order)
     if k < 1:
         raise ValueError("k must be positive")
     if not 1 <= a_shift <= k:
@@ -662,6 +658,7 @@ def jacobi_specialization(k: int, order: int) -> tuple[QSeries, QSeries]:
     The product runs over n congruent to 0 or +-k mod 2k+1 of (1 - q^n),
     priced and refused like ``pochhammer``.
     """
+    _check_ints(k=k, order=order)
     if k < 1:
         raise ValueError("k must be positive")
     mod = 2 * k + 1
@@ -734,6 +731,7 @@ def verify_identity(
     MAX_SERIES_COST: every order up to 2000 is accepted, whatever k
     (h_closed_form keeps the lower cap of the census engine).
     """
+    _check_ints(("k", "a", "m", "r"), order=order, k=k, a=a, m=m, r=r)
     if order < 0:
         raise ValueError("order must be non-negative")
     if name not in IDENTITIES:

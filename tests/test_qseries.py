@@ -1,6 +1,7 @@
 import itertools
 import operator
 import random
+import re
 import time
 
 import pytest
@@ -316,6 +317,56 @@ def test_negative_order_is_value_error(call, args):
         call(*args)
 
 
+def test_series_arithmetic_takes_only_series():
+    s = QSeries.one(5)
+    for bad in (2, 2.0, None):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op(s, bad)
+
+    class Scalar:
+        def __rmul__(self, series):
+            return "reflected"
+
+    # NotImplemented lets the other operand answer
+    assert s * Scalar() == "reflected"
+
+
+@pytest.mark.parametrize("call, bad_calls", [
+    (QSeries, [(([1], True), {}, "order must be an int or None, got True"),
+               (([1], 2.0), {}, "order must be an int or None, got 2.0")]),
+    (pochhammer, [((None, True), {}, "order must be an int, got True"),
+                  ((2.0, 5), {}, "n must be an int or None, got 2.0"),
+                  ((True, 5), {}, "n must be an int or None, got True"),
+                  ((None, None), {}, "order must be an int, got None")]),
+    (inv_euler, [((5.0,), {}, "order must be an int, got 5.0"),
+                 ((False,), {}, "order must be an int, got False")]),
+    (rr_product, [((True, 1, 5), {}, "k must be an int, got True"),
+                  ((2, 1.0, 5), {}, "a_shift must be an int, got 1.0"),
+                  ((2, 1, None), {}, "order must be an int, got None")]),
+    (jacobi_specialization, [((2.0, 5), {}, "k must be an int, got 2.0"),
+                             ((2, False), {}, "order must be an int, got False")]),
+    (schur_rhs, [((None, 5), {}, "k must be an int, got None"),
+                 ((1, "5"), {}, "order must be an int, got '5'")]),
+    (multisum_lhs, [((2, None, 5.0), {}, "order must be an int, got 5.0"),
+                    ((2, True, 5), {}, "a_shift must be an int or None, got True"),
+                    ((True, None, 5), {}, "k must be an int, got True")]),
+    (verify_identity, [(("pentagonal", True), {}, "order must be an int, got True"),
+                       (("schur", 10.0), {"k": 2}, "order must be an int, got 10.0"),
+                       (("rr", 10), {"k": 2.0}, "k must be an int or None, got 2.0"),
+                       (("andrews", 10), {"k": 2, "a": True}, "a must be an int or None, got True"),
+                       (("h_closed_form", 10), {"k": 1, "m": 0.0, "r": 1},
+                        "m must be an int or None, got 0.0"),
+                       (("h_closed_form", 10), {"k": 1, "m": 0, "r": "1"},
+                        "r must be an int or None, got '1'")]),
+], ids=lambda v: getattr(v, "__name__", ""))
+def test_non_int_argument_is_type_error(call, bad_calls):
+    # a bool or a non-int number argument is named, not read as a number
+    for args, kwargs, message in bad_calls:
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            call(*args, **kwargs)
+
+
 def passes_oracle(order, ns, inverse):
     """The product one factor (1 - q^n)^(+-1) at a time, ascending n, in
     plain loops."""
@@ -332,10 +383,10 @@ def passes_oracle(order, ns, inverse):
 
 
 def test_products_match_pass_by_pass_oracle():
-    # every order 0..80 puts the factors past order // 2 through the tail
-    # step, for odd and even halves alike
+    # every order 0..80, odd and even halves alike; the factors past
+    # order // 2 go in first and touch O(1) coefficients each
     for T in range(81):
-        # a tail that stops below the order closes with S[j - n1 - d]
+        # products that stop at, just past or well past order // 2, and below the order
         for n in (None, T // 2, T // 2 + 1, 3 * T // 4, max(T - 1, 0)):
             top = T if n is None else min(n, T)
             assert list(pochhammer(n, T).coeffs) == passes_oracle(T, range(1, top + 1), False), (n, T)
@@ -352,10 +403,53 @@ def test_products_match_pass_by_pass_oracle():
             assert list(rr_product(k, a, T).coeffs) == passes_oracle(T, kept, True), (k, a, T)
 
 
+def test_product_kernel_matches_oracle_on_random_progressions():
+    # the kernel takes the factors largest first across all progressions, so
+    # the smallest factor so far moves between interleaved progressions;
+    # starts past order // 2 and past the order, steps larger than the
+    # order, one-factor and empty progressions all go in
+    rng = random.Random(18)
+    for T in range(121):
+        for _ in range(6):
+            progressions, used = [], set()
+            d = rng.randint(2, 7)
+            for _ in range(rng.randint(0, 5)):
+                if rng.random() < 0.5:  # a class mod d: it interleaves with the other classes
+                    start, step = rng.randint(1, d), d
+                else:
+                    start = rng.choice((1, 2, rng.randint(1, T + 1), T // 2 + 1, max(T, 1),
+                                        T + 1, T + 7))
+                    step = rng.choice((1, 2, rng.randint(1, T + 1), T + 1, T + 5))
+                stop = rng.choice((start, start + 1, start + step, rng.randint(start, 2 * T + 9)))
+                p = range(start, stop, step)
+                if used.isdisjoint(p):
+                    progressions.append(p)
+                    used.update(p)
+            for inverse in (False, True):
+                got = qseries._product(T, progressions, inverse, "random product")
+                want = passes_oracle(T, used, inverse)
+                assert list(got.coeffs) == want, (T, progressions, inverse)
+
+
+def kernel_additions(order, ns, inverse):
+    """The coefficient additions the product kernel makes for the factors
+    ns <= order, largest first, with low the factor before n: a (1 - q^n)
+    pass subtracts order + 1 - n - low coefficients (and writes q^n); a
+    1/(1 - q^n) pass makes the same running sums plus one addition per
+    multiple of n below min(n + low, order + 1)."""
+    made, low = 0, order + 1
+    for n in sorted(ns, reverse=True):
+        made += max(0, order + 1 - n - low)
+        if inverse:
+            made += len(range(n, min(n + low, order + 1), n))
+        low = n
+    return made
+
+
 def test_product_price_bounds_its_additions(monkeypatch):
     # every coefficient addition of the product kernel goes through add, sub
-    # or accumulate; the passes cost exactly their price and the tail step
-    # no more
+    # or accumulate; the kernel makes exactly the additions counted by
+    # kernel_additions, and its price bounds them
     made = [0]
 
     def counted(op):
@@ -382,8 +476,9 @@ def test_product_price_bounds_its_additions(monkeypatch):
             made[0] = 0
             call(*args)
             assert made[0] <= price, (call.__name__, args)
-            if args[0] == T // 2 and call is pochhammer:  # no tail: the passes alone
-                assert made[0] == price, args
+            factors = [n for p in progressions for n in p]
+            exact = kernel_additions(T, factors, call is rr_product)
+            assert made[0] == exact, (call.__name__, args)
 
 
 def unblocked_division(cs):
