@@ -52,12 +52,10 @@ class UnsupportedRegion(DurfeeError):
 class ImpracticalOrder(DurfeeError):
     """A series or a partition was requested at a size too costly to compute.
 
-    Raised before any work when the price of a series plan passes
-    ``partition.MAX_SERIES_COST``: by the census engine, by ``multisum_lhs``
-    and ``q_table``, by ``verify_identity``, by ``p_table`` (so also
-    ``inv_euler`` and ``schur_rhs``), by the products ``pochhammer``,
-    ``rr_product`` and ``jacobi_specialization``, by the ``QSeries``
-    constructor (so also ``QSeries.zero`` and ``QSeries.one``) and by
+    Raised before any work when the price of a series plan, its cells and
+    its coefficient additions, passes ``partition.MAX_SERIES_COST`` in
+    either: by every series entry point, and by ``verify_identity`` for the
+    two sides it builds, summed (``partition._refuse_above_cap``); and by
     ``insert``, priced by its bounds.  Raised before any part is built when
     a partition would have more than ``partition.MAX_PARTS`` parts: by
     ``Partition.conjugate`` (so also by ``gen_conjugate`` and

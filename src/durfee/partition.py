@@ -15,23 +15,35 @@ from .errors import EmptyPartition, ImpracticalOrder
 # m >= 1, where every partition has k rectangles.
 MAX_PARTS = 1_000_000
 
-# Largest series computation accepted, in coefficient additions (rank cells
-# moved, for the census engine's passes).  The census engine, multisum_lhs,
-# verify_identity, p_table and the q-series products all price their work
-# before doing any and refuse past it with ImpracticalOrder.  Measured at
-# the caps on a 2-core VM (Python 3.11, best of 4): the census engine 0.18 s
-# (order 644, k = 1) and 0.29 s (order 792, k = 3), multisum_lhs 1.5 s
-# (order 2317, large k), pochhammer(None, 6324) 0.57 s,
-# jacobi_specialization(1, 6324) 0.57 s, rr_product(2, 2, 6324) 0.21 s
-# and p_table(69784) 2.2 s.
+# Largest series computation accepted.  Every series kernel prices its plan
+# as (cells allocated, coefficient additions made; rank cells moved count as
+# additions) before allocating anything, and _refuse_above_cap applies one
+# rule to a series or to the two sides of a verify: the summed cells and the
+# summed additions must each stay within the cap.  Measured at the caps on a
+# 2-core VM (Python 3.11, best of 3 in process): the census engine 0.17 s
+# (order 644, k = 1) and 0.31 s (792, k = 3), multisum_lhs 1.5 s (2317,
+# large k), p_table(69784) 3.1 s, and the costliest verify at each
+# identity's cap over k in {1, 2, 3, 5, 10}: pentagonal 0.49 s (6324),
+# schur 2.1 s (k = 2, 50804), rr 0.97 s (k = 10, 3615), andrews 1.2 s
+# (k = a = 10, 3615), jacobi 0.54 s (k = 10, 16735) and h_closed_form
+# 0.50 s (k = 10, 999).
 MAX_SERIES_COST = 20_000_000
 
 
-def _refuse_above_cap(cost: int, what: str) -> None:
+def _refuse_above_cap(what: str, *prices: tuple[int, int]) -> None:
+    # the one cap rule: the (cells, additions) prices, summed, stay within the cap in both
+    cost = max(map(sum, zip(*prices)))
     if cost > MAX_SERIES_COST:
         raise ImpracticalOrder(
             f"{what} needs {cost} coefficient additions (cap {MAX_SERIES_COST}); refusing"
         )
+
+
+def _check_ints(optional=(), **args) -> None:
+    # TypeError naming the first argument neither an int (a bool is not) nor an optional None
+    for name, v in args.items():
+        if isinstance(v, bool) or not (isinstance(v, int) or v is None and name in optional):
+            raise TypeError(f"{name} must be an int{' or None' * (name in optional)}, got {v!r}")
 
 
 class Partition:
@@ -240,29 +252,31 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
 def p_table(N: int) -> list[int]:
     """Exact values p(0..N): 1 divided by (q)_inf, by ``_divide_by_euler``.
 
-    The price is its terms: N + 1 - g for every generalized pentagonal
-    number g <= N, about 1.09 N^1.5.  Past MAX_SERIES_COST (N > 69784) it
-    raises ImpracticalOrder before the table is allocated.
+    The price is N + 1 cells and its terms, N + 1 - g for every generalized
+    pentagonal g <= N, about 1.09 N^1.5.  Past MAX_SERIES_COST (N > 69784)
+    it raises ImpracticalOrder before the table is allocated.
     """
-    _refuse_euler_division(N)
-    p = [0] * (N + 1)
-    p[0] = 1
-    _divide_by_euler(p)
-    return p
+    _check_ints(N=N)
+    _refuse_above_cap(f"p_table to {N}", _euler_price(N))
+    return _divide_by_euler([1] + [0] * N)
 
 
-def _refuse_euler_division(N: int) -> None:
-    # the check and price of p_table(N), shared by every division by (q)_inf
-    # to q^N, so they refuse alike and before allocating anything
+def _euler_price(N: int) -> tuple[int, int]:
+    # the check and price of p_table(N), shared by every division by (q)_inf: N + 1 cells,
+    # and its terms until past the cap (g1 = j(3j-1)/2 and g2 = g1 + j enter each n >= g)
     if N < 0:
         raise ValueError("N must be non-negative")
-    _refuse_above_cap(_p_table_cost(N), f"p_table to {N}")
+    cost, j = 0, 1
+    while (g := j * (3 * j - 1) // 2) <= N and cost <= MAX_SERIES_COST:
+        cost += N + 1 - g + max(0, N + 1 - g - j)
+        j += 1
+    return N + 1, cost
 
 
 _BLOCK = 64
 
 
-def _divide_by_euler(cs: list[int]) -> None:
+def _divide_by_euler(cs: list[int]) -> list[int]:
     """In place, cs becomes cs / (q)_inf modulo q^len(cs), by Euler's
     pentagonal recurrence c_n = cs_n + sum_{j >= 1} (-1)^(j-1) (c_(n-g_j)
     + c_(n-g_j-j)), g_j = j(3j-1)/2.
@@ -271,7 +285,7 @@ def _divide_by_euler(cs: list[int]) -> None:
     >= 64 reads only coefficients finished before the block, so it goes
     into the whole block (from n = g on) as one slice addition; only the
     twelve g < 64 run one n at a time.  Each term is one addition, so
-    ``_p_table_cost(len(cs) - 1)`` counts them exactly.
+    ``_euler_price(len(cs) - 1)`` counts them exactly.  Returns cs.
     """
     size = len(cs)
     terms = []  # (g, 1 for + or 0 for -), every generalized pentagonal g < size, ascending
@@ -299,16 +313,7 @@ def _divide_by_euler(cs: list[int]) -> None:
                 else:
                     total -= cs[n - g]
             cs[n] = total
-
-
-def _p_table_cost(N: int) -> int:
-    # terms of p_table(N), counted until past the cap: g1 = j(3j-1)/2 and
-    # g2 = g1 + j each enter every n from g up to N
-    cost, j = 0, 1
-    while (g := j * (3 * j - 1) // 2) <= N and cost <= MAX_SERIES_COST:
-        cost += N + 1 - g + max(0, N + 1 - g - j)
-        j += 1
-    return cost
+    return cs
 
 
 def durfee_square_widths(lam: Partition) -> tuple[int, ...]:

@@ -15,24 +15,19 @@ import struct
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, chain
+from math import isqrt
 from operator import add, neg, sub
 from typing import NamedTuple
 
 from .errors import ImpracticalOrder, InternalInvariantViolation, UnknownIdentity, UnsupportedRegion
 from .partition import (
     MAX_SERIES_COST,
+    _check_ints,
     _divide_by_euler,
+    _euler_price,
     _refuse_above_cap,
-    _refuse_euler_division,
     p_table,
 )
-
-
-def _check_ints(optional=(), **args) -> None:
-    # TypeError naming the first argument neither an int (a bool is not) nor an optional None
-    for name, v in args.items():
-        if isinstance(v, bool) or not (isinstance(v, int) or v is None and name in optional):
-            raise TypeError(f"{name} must be an int{' or None' * (name in optional)}, got {v!r}")
 
 
 class QSeries:
@@ -62,7 +57,7 @@ class QSeries:
             order = len(cs) - 1
         if order < 0:
             raise ValueError("order must be non-negative")
-        _refuse_above_cap(order + 1, f"QSeries of order {order}")
+        _refuse_above_cap(f"QSeries of order {order}", (order + 1, 0))
         if len(cs) > order + 1:
             cs = cs[: order + 1]
         elif len(cs) < order + 1:
@@ -187,15 +182,18 @@ def _passes_cost(order: int, first: int, step: int, last: int) -> int:
     return count * (order + 1 - first) - step * count * (count - 1) // 2
 
 
-def _product(order: int, progressions, inverse: bool, what: str) -> QSeries:
-    """prod of (1 - q^n)^(-1 if inverse else 1) over every n in the disjoint
-    ``progressions`` (ranges of n >= 1), truncated at q^order.
+def _series(what: str, order: int, price: tuple[int, int], run) -> QSeries:
+    # one series: the coefficient list its plan's run builds, once its price passes the cap rule
+    _refuse_above_cap(what, price)
+    return QSeries._fromcoeffs(run(), order)
 
-    The one product kernel.  Its price is ``_passes_cost`` per progression
-    clipped at the order (summed only until past the cap, so a long lazy
-    iterable of progressions is not listed), but at least its order + 1
-    coefficients; past MAX_SERIES_COST it raises ImpracticalOrder before
-    any is allocated.
+
+def _product(order: int, progressions, inverse: bool):
+    """The one product kernel: the plan of prod of (1 - q^n)^(-1 if inverse
+    else 1) over every n in the disjoint ``progressions`` (ranges of n >=
+    1), truncated at q^order.  Its price is order + 1 cells and the
+    ``_passes_cost`` of each progression clipped at the order, summed only
+    until past the cap, so a long lazy iterable is not listed.
 
     The factors go in largest first, so cs[1:low] stays zero, low the
     smallest factor so far, and q^n cs reaches only q^n and q^(n + low) on.
@@ -214,29 +212,31 @@ def _product(order: int, progressions, inverse: bool, what: str) -> QSeries:
         if cost > MAX_SERIES_COST:
             break
         passes.append(p)
-    _refuse_above_cap(max(order + 1, cost), what)
-    cs, low = [1] + [0] * order, order + 1
-    for n in sorted(chain.from_iterable(passes), reverse=True):
-        if inverse:
-            cs[: n + low : n] = accumulate(cs[: n + low : n])
-            _times_geometric(cs, n, n + low)
-        else:
-            cs[n] = -1
-            cs[n + low :] = map(sub, cs[n + low :], cs[low : order + 1 - n])
-        low = n
-    return QSeries._fromcoeffs(cs, order)
+
+    def run():
+        cs, low = [1] + [0] * order, order + 1
+        for n in sorted(chain.from_iterable(passes), reverse=True):
+            if inverse:
+                cs[: n + low : n] = accumulate(cs[: n + low : n])
+                _times_geometric(cs, n, n + low)
+            else:
+                cs[n] = -1
+                cs[n + low :] = map(sub, cs[n + low :], cs[low : order + 1 - n])
+            low = n
+        return cs
+    return (order + 1, cost), run
 
 
 def pochhammer(n: int | None, order: int) -> QSeries:
     """(q)_n = prod_{i=1..n} (1 - q^i); n=None means the infinite product.
 
-    Priced and refused as ``_product`` prices and refuses.
+    Priced as ``_product`` prices, and refused past the cap.
     """
     _check_ints(("n",), n=n, order=order)
     if n is not None and n < 0:
         raise ValueError("n must be non-negative or None")
-    top = order if n is None else min(n, order)
-    return _product(order, [range(1, top + 1)], False, f"pochhammer to order {order}")
+    plan = _product(order, [range(1, (order if n is None else min(n, order)) + 1)], False)
+    return _series(f"pochhammer to order {order}", order, *plan)
 
 
 def inv_euler(order: int) -> QSeries:
@@ -264,11 +264,9 @@ def _levels_plan(k: int, exponent, low: int, top: int, order: int) -> tuple[list
     unchanged, so the plan stops there and its cost stops growing with k.
     A pass of 1/(1 - q^s) over L coefficients makes L - s additions, and
     adding H_{j-1}(u) L more, none at level 2, where H_1(u) is a monomial
-    below them.  Stops once past MAX_SERIES_COST; the order + 1 cells of
-    one output series refuse a huge order before any width is listed.
+    below them.  Stops once past MAX_SERIES_COST; a caller whose cells pass
+    it already does not call it, as it lists about sqrt(order) widths.
     """
-    if order + 1 > MAX_SERIES_COST:
-        return [[]], order + 1
     narrowest = 0
     for j in range(1, k + 1 if low else 1):  # width 0 never dies
         narrowest += exponent(j, low)
@@ -339,11 +337,11 @@ def multisum_lhs(k: int, a_shift: int | None, order: int) -> QSeries:
     pass it.
     """
     _check_ints(("a_shift",), k=k, a_shift=a_shift, order=order)
-    return QSeries._fromcoeffs(_multisum(k, a_shift, order), order)
+    return _series(f"multisum k={k} to order {order}", order, *_multisum(k, a_shift, order))
 
 
-def _multisum(k: int, a_shift: int | None, order: int) -> list[int]:
-    """The coefficients of ``multisum_lhs``, checked, planned, priced and run."""
+def _multisum(k: int, a_shift: int | None, order: int):
+    # the plan of multisum_lhs, checked; with its cells past the cap it lists no width
     if k < 1:
         raise ValueError("k must be positive")
     if a_shift is not None and not 1 <= a_shift <= k:
@@ -351,9 +349,10 @@ def _multisum(k: int, a_shift: int | None, order: int) -> list[int]:
     if order < 0:
         raise ValueError("order must be non-negative")
     shift = k if a_shift is None else a_shift
-    plan, cost = _levels_plan(k, lambda j, v: v * v + (v if j >= shift else 0), 0, 0, order)
-    _refuse_above_cap(cost, f"multisum k={k} to order {order}")
-    return _durfee_levels(plan, order)[0]
+    plan, cost = [[]], 0
+    if order + 1 <= MAX_SERIES_COST:
+        plan, cost = _levels_plan(k, lambda j, v: v * v + (v if j >= shift else 0), 0, 0, order)
+    return (order + 1, cost), lambda: _durfee_levels(plan, order)[0]
 
 
 def q_table(k: int, N: int) -> list[int]:
@@ -362,11 +361,14 @@ def q_table(k: int, N: int) -> list[int]:
     These are the coefficients of ``multisum_lhs(k + 1)``, the generating
     function of Andrews' Durfee dissection (Amer. J. Math. 1979).
     """
+    _check_ints(k=k, N=N)
     if k < 0:
         raise ValueError("k must be non-negative")
     if N < 0:
         raise ValueError("N must be non-negative")
-    return _multisum(k + 1, None, N)
+    price, run = _multisum(k + 1, None, N)
+    _refuse_above_cap(f"multisum k={k + 1} to order {N}", price)
+    return run()
 
 
 # census and h_count of n read the series to n rounded up to this step, so
@@ -387,40 +389,37 @@ class CensusTable(NamedTuple):
         return sum(self.rows.values())
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "m": self.m,
-            "rows": {str(r): self.rows[r] for r in sorted(self.rows)},
-            "total": self.total,
-        }
+        rows = {str(r): self.rows[r] for r in sorted(self.rows)}
+        return {**self._asdict(), "rows": rows, "total": self.total}
 
 
-def _series_plan(k: int, m: int, order: int) -> tuple[list, list[list[tuple[int, int]]], int]:
-    """The ``_levels_plan`` of the H_k(w) that ``_rank_series(k, m,
-    order)`` sums, the z-kernel passes (s, dz), each 1/(1 - z^dz q^s), that
-    follow each H_k(w), widest w first, and the price of both: the
-    additions of the levels and the cells the passes move.
+def _series_plan(k: int, m: int, order: int):
+    """The plan of ``_rank_series(k, m, order)``, checked: the
+    ``_levels_plan`` of the H_k(w) it sums and the z-kernel passes (s, dz),
+    each 1/(1 - z^dz q^s), that follow each H_k(w), widest w first.  Its
+    price is the (order + 1)^2 cells of the packed rows, and as additions
+    those of the levels and the cells the passes move.
 
     A pass shift-adds packed row n - s into row n for every n >= s, one
     big-integer operation that moves the 2(n - s) + 1 rank cells of row
     n - s: (order + 1 - s)^2 cells, none for s > order, so those are left
-    out.  When no width survives k levels, the (order + 1)^2 cells of the
-    zero rows are the price; they also refuse a huge order before any width
-    is listed.
+    out.  A huge order lists no width: its cells alone pass the cap.
     """
-    cells = (order + 1) ** 2
-    if cells > MAX_SERIES_COST:
-        return [[]], [], cells
-    low = max(0, 1 - m)
-    levels, cost = _levels_plan(k, lambda j, v: v * (v + m), low, order, order)
-    if not levels[-1]:
-        return levels, [], cells
-    passes = [[(w + m, 1), (w, -1)] for w in range(low + len(levels[-1]) - 1, low, -1)]
-    passes.append([(s, 1) for s in range(1, min(low + m, order) + 1)]
-                  + [(s, -1) for s in range(1, min(low, order) + 1)])
-    passes = [[(s, dz) for s, dz in after if s <= order] for after in passes]
-    return levels, passes, cost + sum((order + 1 - s) ** 2 for after in passes for s, _ in after)
+    if k < 1:
+        raise ValueError("k must be positive")
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    cells, levels, passes, cost = (order + 1) ** 2, [[]], [], 0
+    if cells <= MAX_SERIES_COST:
+        low = max(0, 1 - m)
+        levels, cost = _levels_plan(k, lambda j, v: v * (v + m), low, order, order)
+        if levels[-1]:
+            passes = [[(w + m, 1), (w, -1)] for w in range(low + len(levels[-1]) - 1, low, -1)]
+            passes.append([(s, 1) for s in range(1, min(low + m, order) + 1)]
+                          + [(s, -1) for s in range(1, min(low, order) + 1)])
+            passes = [[(s, dz) for s, dz in after if s <= order] for after in passes]
+            cost += sum((order + 1 - s) ** 2 for after in passes for s, _ in after)
+    return (cells, cost), lambda: _rank_rows(k, m, order, levels, passes)
 
 
 def _shift_add_rows(rows: list[int], s: int, shift: int) -> None:
@@ -489,14 +488,15 @@ def _rank_series(k: int, m: int, order: int) -> tuple[tuple[int, ...], ...]:
     end.  For m >= 0 every row total is checked against p(n), less
     q_{k-1}(n) at m = 0 (partitions with at most k - 1 Durfee squares have
     no k 0-rectangles), and a mismatch raises InternalInvariantViolation.
-    Raises ImpracticalOrder when the price of that plan exceeds MAX_SERIES_COST.
+    Raises ImpracticalOrder when the price of that plan passes the cap.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    levels, passes, cost = _series_plan(k, m, order)
-    _refuse_above_cap(cost, f"rank series k={k} m={m} to order {order}")
+    price, run = _series_plan(k, m, order)
+    _refuse_above_cap(f"rank series k={k} m={m} to order {order}", price)
+    return run()
+
+
+def _rank_rows(k: int, m: int, order: int, levels: list, passes: list) -> tuple:
+    # the run of a _series_plan: the rows of _rank_series, packed, checked and unpacked
     counts = p_table(order)
     words = counts[-1].bit_length() // 64 + 1
     width = 64 * words
@@ -542,7 +542,7 @@ def rank_census(n: int, k: int, m: int) -> Counter:
     Partitions without k successive m-rectangles (possible for m <= 0) are
     skipped.  Each call returns a fresh Counter the caller may modify.
     """
-    return Counter(census(n, k, m).rows)
+    return Counter(census(n, k, m).rows)  # census checks the arguments
 
 
 def census(n: int, k: int, m: int = 0) -> CensusTable:
@@ -550,11 +550,15 @@ def census(n: int, k: int, m: int = 0) -> CensusTable:
 
     ``_rank_series`` checks those totals for every n of each series it computes.
     """
+    if not (type(n) is type(k) is type(m) is int):  # the cheap test; the helper names the culprit
+        _check_ints(n=n, k=k, m=m)
     return CensusTable(n, k, m, {r: c for r, c in enumerate(_rank_row(n, k, m), -n) if c})
 
 
 def h_count(n: int, k: int, m: int, r: int, mode: str) -> int:
     """h(n,k,m,<=r), h(n,k,m,>=r) or h(n,k,m,r) depending on mode."""
+    if not (type(n) is type(k) is type(m) is type(r) is int):  # as in census
+        _check_ints(n=n, k=k, m=m, r=r)
     if mode not in ("le", "ge", "eq"):
         raise ValueError(f"mode must be 'le', 'ge' or 'eq', got {mode!r}")
     if n < 0:
@@ -581,44 +585,31 @@ def h_census_series(k: int, m: int, r: int, mode: str, order: int) -> QSeries:
     beyond order 644 for k = 1 and 792 for k = 3 at m = 0 (the comment on
     ``partition.MAX_SERIES_COST`` gives the time of a series at those caps).
     """
+    _check_ints(k=k, m=m, r=r, order=order)
     if mode not in ("le", "ge"):
         raise ValueError("mode must be 'le' or 'ge'")
-    return QSeries([_h(row, r, mode) for row in _rank_series(k, m, order)], order)
+    return QSeries._fromcoeffs([_h(row, r, mode) for row in _rank_series(k, m, order)], order)
 
 
-def _h_closed_form(k: int, m: int, r: int, order: int) -> QSeries:
-    """(1/(q)_inf) sum_{j>=1} (-1)^(j-1) q^(jr + j(j-1)/2 + k(jm + j^2)): the
-    sparse sum divided by ``partition._divide_by_euler``, priced and
-    refused as ``schur_rhs``."""
-    _refuse_euler_division(order)
+def _h_closed_form(k: int, m: int, r: int, order: int) -> list[int]:
+    """(1/(q)_inf) sum_{j>=1} (-1)^(j-1) q^(jr + j(j-1)/2 + k(jm + j^2)), for
+    m, r >= 0, priced by its caller as the division alone (``_euler_price``):
+    each term of the sparse sum is written into its own zero cell."""
     cs = [0] * (order + 1)
-    j = 1
-    while True:
-        e = j * r + j * (j - 1) // 2 + k * (j * m + j * j)
-        if e > order:
-            break
-        if e >= 0:
-            cs[e] += 1 if j % 2 == 1 else -1
-        j += 1
-    _divide_by_euler(cs)
-    return QSeries._fromcoeffs(cs, order)
+    for j in range(1, isqrt(order) + 1):  # the exponent is at least j^2
+        if (e := j * r + j * (j - 1) // 2 + k * (j * m + j * j)) <= order:
+            cs[e] = 1 if j % 2 else -1
+    return _divide_by_euler(cs)
 
 
-def _theta(k: int, order: int) -> QSeries:
-    """sum over all integers j of (-1)^j q^(j(j+1)(2k+1)/2 - k j)."""
+def _theta(k: int, order: int) -> list[int]:
+    """sum over all integers j of (-1)^j q^(j(j+1)(2k+1)/2 - k j); each term
+    is written into its own zero cell, so it is priced as cells alone."""
     cs = [0] * (order + 1)
-    j = 0
-    while True:
-        hit = False
-        for jj in ((j, -j) if j else (0,)):
-            e = jj * (jj + 1) * (2 * k + 1) // 2 - k * jj
-            if 0 <= e <= order:
-                cs[e] += 1 if jj % 2 == 0 else -1
-                hit = True
-        if not hit and j > 0:
-            break
-        j += 1
-    return QSeries._fromcoeffs(cs, order)
+    for j in range(-isqrt(order), isqrt(order) + 1):  # the exponent is at least j^2
+        if (e := j * (j + 1) * (2 * k + 1) // 2 - k * j) <= order:
+            cs[e] = -1 if j % 2 else 1
+    return cs
 
 
 def schur_rhs(k: int, order: int) -> QSeries:
@@ -629,18 +620,25 @@ def schur_rhs(k: int, order: int) -> QSeries:
     theta sum is allocated.
     """
     _check_ints(k=k, order=order)
+    return _series(f"p_table to {order}", order, *_schur_rhs(k, order))
+
+
+def _schur_rhs(k: int, order: int):
+    # the plan of schur_rhs, checked
     if k < 1:
         raise ValueError("k must be positive")
-    _refuse_euler_division(order)
-    cs = list(_theta(k, order).coeffs)
-    _divide_by_euler(cs)
-    return QSeries._fromcoeffs(cs, order)
+    return _euler_price(order), lambda: _divide_by_euler(_theta(k, order))
 
 
 def rr_product(k: int, a_shift: int, order: int) -> QSeries:
     """Product over n not congruent to 0 or +-a_shift mod 2k+1 of 1/(1-q^n),
     priced and refused like ``pochhammer``."""
     _check_ints(k=k, a_shift=a_shift, order=order)
+    return _series(f"rr_product to order {order}", order, *_rr_product(k, a_shift, order))
+
+
+def _rr_product(k: int, a_shift: int, order: int):
+    # the plan of rr_product, checked
     if k < 1:
         raise ValueError("k must be positive")
     if not 1 <= a_shift <= k:
@@ -649,7 +647,7 @@ def rr_product(k: int, a_shift: int, order: int) -> QSeries:
     # a residue past the order has no factor, so a huge k lists no empty class
     kept = (range(c, order + 1, mod) for c in range(1, min(2 * k, order) + 1)
             if c not in (a_shift, mod - a_shift))
-    return _product(order, kept, True, f"rr_product to order {order}")
+    return _product(order, kept, True)
 
 
 def jacobi_specialization(k: int, order: int) -> tuple[QSeries, QSeries]:
@@ -659,12 +657,16 @@ def jacobi_specialization(k: int, order: int) -> tuple[QSeries, QSeries]:
     priced and refused like ``pochhammer``.
     """
     _check_ints(k=k, order=order)
+    product = _series(f"jacobi product to order {order}", order, *_jacobi_product(k, order))
+    return QSeries._fromcoeffs(_theta(k, order), order), product
+
+
+def _jacobi_product(k: int, order: int):
+    # the plan of the product side of jacobi_specialization, checked
     if k < 1:
         raise ValueError("k must be positive")
     mod = 2 * k + 1
-    wanted = [range(c, order + 1, mod) for c in (k, k + 1, mod)]
-    product = _product(order, wanted, False, f"jacobi product to order {order}")
-    return _theta(k, order), product
+    return _product(order, [range(c, order + 1, mod) for c in (k, k + 1, mod)], False)
 
 
 class VerificationReport(NamedTuple):
@@ -675,38 +677,33 @@ class VerificationReport(NamedTuple):
     mismatch: dict | None  # {"n": ..., "lhs": ..., "rhs": ...}
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "params": self.params,
-            "order": self.order,
-            "ok": self.ok,
-            "mismatch": self.mismatch,
-        }
+        return self._asdict()
 
 
-def _first_mismatch(lhs: QSeries, rhs: QSeries) -> dict | None:
-    T = min(lhs.order, rhs.order)
-    a, b = lhs.coeffs[: T + 1], rhs.coeffs[: T + 1]
-    if a == b:
+def _first_mismatch(lhs: list[int], rhs: list[int]) -> dict | None:
+    if lhs == rhs:
         return None
-    n = next(n for n in range(T + 1) if a[n] != b[n])
-    return {"n": n, "lhs": a[n], "rhs": b[n]}
+    n = next(n for n, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+    return {"n": n, "lhs": lhs[n], "rhs": rhs[n]}
 
 
-def _closed_form_sides(order: int, k: int, m: int, r: int) -> tuple[QSeries, QSeries]:
+def _closed_form_sides(order: int, k: int, m: int, r: int):
     if not ((m >= 0 and r >= 1) or (m == 0 and r == 0)):
         raise UnsupportedRegion("closed form requires m >= 0 and r >= 1, or m = r = 0")
-    return h_census_series(k, m, -r, "le", order), _h_closed_form(k, m, r, order)
+    price, rows = _series_plan(k, m, order)  # h_census_series(k, m, -r, "le", order), uncached
+    return ((price, lambda: [_h(row, -r, "le") for row in rows()]),
+            (_euler_price(order), lambda: _h_closed_form(k, m, r, order)))
 
 
-# name -> (parameter names, sides(order, **params) -> (lhs, rhs))
+# name -> (parameter names, sides(order, **params) -> the (price, run) plans of lhs and rhs)
 _IDENTITY_SIDES = {
-    "pentagonal": ((), lambda order: (pochhammer(None, order), _theta(1, order))),
-    "schur": (("k",), lambda order, k: (multisum_lhs(k, None, order), schur_rhs(k, order))),
-    "rr": (("k",), lambda order, k: (multisum_lhs(k, None, order), rr_product(k, k, order))),
-    "andrews": (("k", "a"), lambda order, k, a: (multisum_lhs(k, a, order),
-                                                 rr_product(k, a, order))),
-    "jacobi": (("k",), lambda order, k: jacobi_specialization(k, order)),
+    "pentagonal": ((), lambda order: (_product(order, [range(1, order + 1)], False),
+                                      ((order + 1, 0), lambda: _theta(1, order)))),
+    "schur": (("k",), lambda order, k: (_multisum(k, None, order), _schur_rhs(k, order))),
+    "rr": (("k",), lambda order, k: (_multisum(k, None, order), _rr_product(k, k, order))),
+    "andrews": (("k", "a"), lambda order, k, a: (_multisum(k, a, order), _rr_product(k, a, order))),
+    "jacobi": (("k",), lambda order, k: (((order + 1, 0), lambda: _theta(k, order)),
+                                         _jacobi_product(k, order))),
     "h_closed_form": (("k", "m", "r"), _closed_form_sides),
 }
 IDENTITIES = tuple(_IDENTITY_SIDES)
@@ -727,25 +724,25 @@ def verify_identity(
     h_closed_form(k, m, r) with m >= 0 and r >= 1, or m = r = 0.
     Pentagonal compares the product (q)_inf with its theta sum, so it does
     not lean on ``p_table``, which is that same identity as a recurrence.
-    Raises ImpracticalOrder when the estimated cost of a side passes
-    MAX_SERIES_COST: every order up to 2000 is accepted, whatever k
-    (h_closed_form keeps the lower cap of the census engine).
+
+    Each side is planned once, on exponents only, and the two prices go
+    through the cap rule together, so ImpracticalOrder comes before either
+    side is built.  Every order up to 2000 is accepted, whatever k; the cap
+    is 6324 for pentagonal and jacobi k = 1, 9837 for rr k = 2, 6093 for
+    rr k = 3, and 644 (k = 1) or 792 (k = 3) for h_closed_form at m = 0.
     """
     _check_ints(("k", "a", "m", "r"), order=order, k=k, a=a, m=m, r=r)
     if order < 0:
         raise ValueError("order must be non-negative")
     if name not in IDENTITIES:
         raise UnknownIdentity(f"unknown identity {name!r}; known: {', '.join(IDENTITIES)}")
-    # a product side takes at most one pass per factor (1 - q^n)^(+-1), n <= order;
-    # multisum_lhs guards the sum side itself
-    _refuse_above_cap(order * (order + 1) // 2, f"verify {name} to order {order}")
     pnames, sides = _IDENTITY_SIDES[name]
     given = {"k": k, "a": a, "m": m, "r": r}
-    params = {}
-    for pname in pnames:
-        if given[pname] is None:
+    params = {pname: given[pname] for pname in pnames}
+    for pname, v in params.items():
+        if v is None:
             raise ValueError(f"identity {name!r} needs parameter {pname!r}")
-        params[pname] = given[pname]
-    lhs, rhs = sides(order, **params)
-    mismatch = _first_mismatch(lhs, rhs)
+    (lhs_price, lhs), (rhs_price, rhs) = sides(order, **params)
+    _refuse_above_cap(f"verify {name} to order {order}", lhs_price, rhs_price)
+    mismatch = _first_mismatch(lhs(), rhs())
     return VerificationReport(name, params, order, mismatch is None, mismatch)

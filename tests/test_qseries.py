@@ -8,8 +8,10 @@ import pytest
 
 from durfee import (
     QSeries,
+    census,
     durfee_square_widths,
     h_census_series,
+    h_count,
     inv_euler,
     jacobi_specialization,
     multisum_lhs,
@@ -18,12 +20,13 @@ from durfee import (
     pochhammer,
     q_table,
     qseries,
+    rank_census,
     rr_product,
     schur_rhs,
     verify_identity,
 )
 from durfee.errors import ImpracticalOrder, UnknownIdentity, UnsupportedRegion
-from durfee.partition import _divide_by_euler, _p_table_cost
+from durfee.partition import _divide_by_euler, _euler_price
 from durfee.qseries import (
     IDENTITIES,
     MAX_SERIES_COST,
@@ -105,7 +108,8 @@ def test_kernel_outputs_are_what_the_constructor_builds():
         outputs = [pochhammer(None, order), pochhammer(3, order), inv_euler(order),
                    multisum_lhs(3, None, order), multisum_lhs(3, 2, order), schur_rhs(2, order),
                    rr_product(2, 1, order), *jacobi_specialization(2, order),
-                   _h_closed_form(1, 0, 1, order), a + b, a - b, -a, a * b]
+                   QSeries._fromcoeffs(_h_closed_form(1, 0, 1, order), order),
+                   QSeries._fromcoeffs(_theta(2, order), order), a + b, a - b, -a, a * b]
         for s in outputs:
             assert type(s.coeffs) is tuple and {type(c) for c in s.coeffs} == {int}
             assert len(s.coeffs) == s.order + 1
@@ -197,11 +201,91 @@ def test_series_entry_points_refuse_huge_orders_at_once():
                 order + 1 - n for n in range(first, last + 1, step))
     terms = [sum(1 for j in range(1, n + 1) for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2)
                  if g <= n) for n in range(60)]
-    assert [_p_table_cost(N) for N in range(60)] == [sum(terms[: N + 1]) for N in range(60)]
-    # every order verify_identity accepts (its product side caps it at 6324)
-    # stays accepted, and the caps sit here
+    assert [_euler_price(N)[1] for N in range(60)] == [sum(terms[: N + 1]) for N in range(60)]
+    # the caps of pochhammer(None, order) and p_table(N) sit here
     assert _passes_cost(6324, 1, 1, 6324) <= MAX_SERIES_COST < _passes_cost(6325, 1, 1, 6325)
-    assert _p_table_cost(69784) <= MAX_SERIES_COST < _p_table_cost(69785)
+    assert _euler_price(69784)[1] <= MAX_SERIES_COST < _euler_price(69785)[1]
+
+
+# The largest order at which verify accepts, by identity and parameters:
+# the pair price of its two sides, (cells, additions) each summed, fits
+# MAX_SERIES_COST there and not one order higher.
+VERIFY_CAPS = {
+    ("pentagonal", ()): 6324,
+    ("schur", (1,)): 69784, ("schur", (2,)): 50804, ("schur", (3,)): 8724,
+    ("schur", (5,)): 5432, ("schur", (10,)): 4230,
+    ("rr", (1,)): 9999999, ("rr", (2,)): 9837, ("rr", (3,)): 6093,
+    ("rr", (5,)): 4413, ("rr", (10,)): 3615,
+    ("andrews", (1, 1)): 9999999, ("andrews", (2, 1)): 9838, ("andrews", (3, 1)): 6121,
+    ("andrews", (5, 1)): 4450, ("andrews", (10, 1)): 3665,
+    ("andrews", (2, 2)): 9837, ("andrews", (3, 3)): 6093, ("andrews", (5, 5)): 4413,
+    ("andrews", (10, 10)): 3615,
+    ("jacobi", (1,)): 6324, ("jacobi", (2,)): 8164, ("jacobi", (3,)): 9661,
+    ("jacobi", (5,)): 12111, ("jacobi", (10,)): 16735,
+    ("h_closed_form", (1, 0, 1)): 644, ("h_closed_form", (2, 0, 1)): 731,
+    ("h_closed_form", (3, 0, 1)): 792, ("h_closed_form", (5, 0, 1)): 871,
+    ("h_closed_form", (10, 0, 1)): 999,
+}
+
+
+def verify_params(name, values):
+    return dict(zip(qseries._IDENTITY_SIDES[name][0], values))
+
+
+@pytest.fixture
+def sides_priced_only(monkeypatch):
+    # every identity's sides, planned and priced as verify plans and prices
+    # them, with each run replaced by the coefficient list [1]: a verify that
+    # gets past the cap rule reports ok and builds nothing
+    def priced_only(sides):
+        return lambda *a, **kw: [(price, lambda: [1]) for price, _ in sides(*a, **kw)]
+    table = qseries._IDENTITY_SIDES
+    monkeypatch.setattr(qseries, "_IDENTITY_SIDES", {
+        name: (pnames, priced_only(sides)) for name, (pnames, sides) in table.items()})
+
+
+def test_verify_caps_are_the_pair_prices(sides_priced_only):
+    assert {name for name, _ in VERIFY_CAPS} == set(IDENTITIES)
+    for (name, values), cap in VERIFY_CAPS.items():
+        params = verify_params(name, values)
+        assert verify_identity(name, cap, **params).ok, (name, params)
+    # every order up to 2000 is accepted, whatever k: rr at k = 10^6 is the
+    # costliest pair there (16,602,537 additions)
+    for k in (1, 2, 3, 10, 10**6):
+        for name in ("schur", "rr", "jacobi"):
+            assert verify_identity(name, 2000, k=k).ok, (name, k)
+        assert verify_identity("andrews", 2000, k=k, a=1).ok, k
+
+
+def test_verify_refuses_one_order_past_its_cap_at_once():
+    for (name, values), cap in VERIFY_CAPS.items():
+        params = verify_params(name, values)
+        t = time.perf_counter()
+        with pytest.raises(ImpracticalOrder, match=f"^verify {name} to order {cap + 1} needs "):
+            verify_identity(name, cap + 1, **params)
+        assert time.perf_counter() - t < 0.1, (name, params)
+
+
+def test_verify_boundary_calls():
+    # the sides price 14,002 cells and 630,734 additions; the old blanket
+    # price of order (order + 1) / 2 refused this call
+    assert verify_identity("schur", 7000, k=1).ok
+    # 10,102,858 + 11,430,179 additions, over the cap although each side
+    # fits on its own
+    with pytest.raises(ImpracticalOrder, match="needs 21533037 coefficient additions"):
+        verify_identity("rr", 6324, k=3)
+    # an empty product and a one-level multisum make no additions, but
+    # their 2 (order + 1) cells pass the cap
+    t = time.perf_counter()
+    with pytest.raises(ImpracticalOrder, match="needs 39999998 coefficient additions"):
+        verify_identity("rr", 19999998, k=1)
+    assert time.perf_counter() - t < 0.1
+    for name, params in (("pentagonal", {}), ("jacobi", {"k": 1})):
+        with pytest.raises(ImpracticalOrder, match="needs 20005975 coefficient additions"):
+            verify_identity(name, 6325, **params)
+    # a missing parameter is named before any price, at any order
+    with pytest.raises(ValueError, match="needs parameter 'k'"):
+        verify_identity("rr", 10**18)
 
 
 def test_multisum_shift_bounds():
@@ -301,8 +385,8 @@ def test_verify_identity_errors():
 
 
 def test_first_mismatch_structure():
-    a = QSeries([1, 2, 3], 2)
-    b = QSeries([1, 5, 3], 2)
+    a = [1, 2, 3]
+    b = [1, 5, 3]
     assert _first_mismatch(a, b) == {"n": 1, "lhs": 2, "rhs": 5}
     assert _first_mismatch(a, a) is None
 
@@ -359,6 +443,21 @@ def test_series_arithmetic_takes_only_series():
                         "m must be an int or None, got 0.0"),
                        (("h_closed_form", 10), {"k": 1, "m": 0, "r": "1"},
                         "r must be an int or None, got '1'")]),
+    (q_table, [((1, True), {}, "N must be an int, got True"),
+               ((1, 5.0), {}, "N must be an int, got 5.0"),
+               ((False, 5), {}, "k must be an int, got False")]),
+    (p_table, [((True,), {}, "N must be an int, got True"),
+               ((5.0,), {}, "N must be an int, got 5.0")]),
+    (census, [((True, 1, 0), {}, "n must be an int, got True"),
+              ((5, 1.0, 0), {}, "k must be an int, got 1.0"),
+              ((5, 1, None), {}, "m must be an int, got None")]),
+    (rank_census, [((5.0, 1, 0), {}, "n must be an int, got 5.0"),
+                   ((5, 1, True), {}, "m must be an int, got True")]),
+    (h_count, [((True, 1, 0, 0, "le"), {}, "n must be an int, got True"),
+               ((5, 1, 0, 0.0, "le"), {}, "r must be an int, got 0.0")]),
+    (h_census_series, [((1, 0, 0, "le", True), {}, "order must be an int, got True"),
+                       ((1, 0.0, 0, "le", 5), {}, "m must be an int, got 0.0"),
+                       ((1, 0, "1", "le", 5), {}, "r must be an int, got '1'")]),
 ], ids=lambda v: getattr(v, "__name__", ""))
 def test_non_int_argument_is_type_error(call, bad_calls):
     # a bool or a non-int number argument is named, not read as a number
@@ -426,9 +525,8 @@ def test_product_kernel_matches_oracle_on_random_progressions():
                     progressions.append(p)
                     used.update(p)
             for inverse in (False, True):
-                got = qseries._product(T, progressions, inverse, "random product")
-                want = passes_oracle(T, used, inverse)
-                assert list(got.coeffs) == want, (T, progressions, inverse)
+                _, run = qseries._product(T, progressions, inverse)
+                assert run() == passes_oracle(T, used, inverse), (T, progressions, inverse)
 
 
 def kernel_additions(order, ns, inverse):
@@ -521,7 +619,7 @@ def test_euler_divisions_match_kronecker_products():
     # truncation commutes with both sides, so one order-300 product checks
     # every lower order
     for k in range(1, 7):
-        want = (inv_euler(300) * _theta(k, 300)).coeffs
+        want = (inv_euler(300) * QSeries(_theta(k, 300))).coeffs
         for T in range(301):
             assert schur_rhs(k, T).coeffs == want[: T + 1], (k, T)
     for k in (1, 2, 3):
@@ -534,4 +632,4 @@ def test_euler_divisions_match_kronecker_products():
                         sparse[e] += 1 if j % 2 else -1
                         j += 1
                     want = inv_euler(T) * QSeries(sparse, T)
-                    assert _h_closed_form(k, m, r, T) == want, (k, m, r, T)
+                    assert _h_closed_form(k, m, r, T) == list(want.coeffs), (k, m, r, T)
