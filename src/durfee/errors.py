@@ -54,8 +54,8 @@ class ImpracticalOrder(DurfeeError):
 
     Raised before any work when the price of a series plan, its cells and
     its coefficient additions, passes ``partition.MAX_SERIES_COST`` in
-    either: by every series entry point, and by ``verify_identity`` for the
-    two sides it builds, summed (``partition._refuse_above_cap``); and by
+    either, by ``partition._build``, which builds every series and sums the
+    two sides of ``verify_identity`` and ``jacobi_specialization``; and by
     ``insert``, priced by its bounds.  Raised before any part is built when
     a partition would have more than ``partition.MAX_PARTS`` parts: by
     ``Partition.conjugate`` (so also by ``gen_conjugate`` and

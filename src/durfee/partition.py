@@ -17,26 +17,26 @@ MAX_PARTS = 1_000_000
 
 # Largest series computation accepted.  Every series kernel prices its plan
 # as (cells allocated, coefficient additions made; rank cells moved count as
-# additions) before allocating anything, and _refuse_above_cap applies one
-# rule to a series or to the two sides of a verify: the summed cells and the
-# summed additions must each stay within the cap.  Measured at the caps on a
-# 2-core VM (Python 3.11, best of 3 in process): the census engine 0.17 s
-# (order 644, k = 1) and 0.31 s (792, k = 3), multisum_lhs 1.5 s (2317,
-# large k), p_table(69784) 3.1 s, and the costliest verify at each
-# identity's cap over k in {1, 2, 3, 5, 10}: pentagonal 0.49 s (6324),
-# schur 2.1 s (k = 2, 50804), rr 0.97 s (k = 10, 3615), andrews 1.2 s
-# (k = a = 10, 3615), jacobi 0.54 s (k = 10, 16735) and h_closed_form
-# 0.50 s (k = 10, 999).
+# additions) before allocating anything, and _build, the one place a series
+# is built, applies one rule to a series or to the two sides of a verify:
+# the summed cells and the summed additions must each stay within the cap.
+# Measured at the caps on a 2-core VM (Python 3.11, best of 3 in process):
+# the census engine 0.17 s (order 644, k = 1) and 0.31 s (792, k = 3),
+# multisum_lhs 1.5 s (2317, large k), p_table(69784) 3.1 s, and the
+# costliest verify at each identity's cap over k in {1, 2, 3, 5, 10}:
+# pentagonal 0.49 s (6324), schur 2.1 s (k = 2, 50804), rr 0.97 s (k = 10,
+# 3615), andrews 1.2 s (k = a = 10, 3615), jacobi 0.54 s (k = 10, 16735)
+# and h_closed_form 0.50 s (k = 10, 999).
 MAX_SERIES_COST = 20_000_000
 
 
-def _refuse_above_cap(what: str, *prices: tuple[int, int]) -> None:
-    # the one cap rule: the (cells, additions) prices, summed, stay within the cap in both
-    cost = max(map(sum, zip(*prices)))
-    if cost > MAX_SERIES_COST:
-        raise ImpracticalOrder(
-            f"{what} needs {cost} coefficient additions (cap {MAX_SERIES_COST}); refusing"
-        )
+def _build(what: str, *plans) -> list:
+    # the one place a series is built: the runs of the (price, run) plans, once the cap rule holds
+    cells, additions = map(sum, zip(*(price for price, _ in plans)))
+    if max(cells, additions) > MAX_SERIES_COST:
+        measure = f"{cells} cells" if cells > additions else f"{additions} coefficient additions"
+        raise ImpracticalOrder(f"{what} needs {measure} (cap {MAX_SERIES_COST}); refusing")
+    return [run() for _, run in plans]
 
 
 def _check_ints(optional=(), **args) -> None:
@@ -257,8 +257,7 @@ def p_table(N: int) -> list[int]:
     it raises ImpracticalOrder before the table is allocated.
     """
     _check_ints(N=N)
-    _refuse_above_cap(f"p_table to {N}", _euler_price(N))
-    return _divide_by_euler([1] + [0] * N)
+    return _build(f"p_table to {N}", (_euler_price(N), lambda: _divide_by_euler([1] + [0] * N)))[0]
 
 
 def _euler_price(N: int) -> tuple[int, int]:

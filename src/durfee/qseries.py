@@ -22,10 +22,10 @@ from typing import NamedTuple
 from .errors import ImpracticalOrder, InternalInvariantViolation, UnknownIdentity, UnsupportedRegion
 from .partition import (
     MAX_SERIES_COST,
+    _build,
     _check_ints,
     _divide_by_euler,
     _euler_price,
-    _refuse_above_cap,
     p_table,
 )
 
@@ -57,12 +57,8 @@ class QSeries:
             order = len(cs) - 1
         if order < 0:
             raise ValueError("order must be non-negative")
-        _refuse_above_cap(f"QSeries of order {order}", (order + 1, 0))
-        if len(cs) > order + 1:
-            cs = cs[: order + 1]
-        elif len(cs) < order + 1:
-            cs.extend([0] * (order + 1 - len(cs)))
-        object.__setattr__(self, "coeffs", tuple(cs))
+        padded = ((order + 1, 0), lambda: cs[: order + 1] + [0] * (order + 1 - len(cs)))
+        object.__setattr__(self, "coeffs", tuple(_build(f"QSeries of order {order}", padded)[0]))
         object.__setattr__(self, "order", order)
 
     @classmethod
@@ -182,10 +178,9 @@ def _passes_cost(order: int, first: int, step: int, last: int) -> int:
     return count * (order + 1 - first) - step * count * (count - 1) // 2
 
 
-def _series(what: str, order: int, price: tuple[int, int], run) -> QSeries:
-    # one series: the coefficient list its plan's run builds, once its price passes the cap rule
-    _refuse_above_cap(what, price)
-    return QSeries._fromcoeffs(run(), order)
+def _series(what: str, order: int, plan) -> QSeries:
+    # one public series: the coefficient list its (price, run) plan builds
+    return QSeries._fromcoeffs(_build(what, plan)[0], order)
 
 
 def _product(order: int, progressions, inverse: bool):
@@ -233,10 +228,14 @@ def pochhammer(n: int | None, order: int) -> QSeries:
     Priced as ``_product`` prices, and refused past the cap.
     """
     _check_ints(("n",), n=n, order=order)
+    return _series(f"pochhammer to order {order}", order, _pochhammer(n, order))
+
+
+def _pochhammer(n: int | None, order: int):
+    # the plan of pochhammer, checked; n = None is the product side of verify pentagonal
     if n is not None and n < 0:
         raise ValueError("n must be non-negative or None")
-    plan = _product(order, [range(1, (order if n is None else min(n, order)) + 1)], False)
-    return _series(f"pochhammer to order {order}", order, *plan)
+    return _product(order, [range(1, (order if n is None else min(n, order)) + 1)], False)
 
 
 def inv_euler(order: int) -> QSeries:
@@ -337,7 +336,7 @@ def multisum_lhs(k: int, a_shift: int | None, order: int) -> QSeries:
     pass it.
     """
     _check_ints(("a_shift",), k=k, a_shift=a_shift, order=order)
-    return _series(f"multisum k={k} to order {order}", order, *_multisum(k, a_shift, order))
+    return _series(f"multisum k={k} to order {order}", order, _multisum(k, a_shift, order))
 
 
 def _multisum(k: int, a_shift: int | None, order: int):
@@ -366,9 +365,7 @@ def q_table(k: int, N: int) -> list[int]:
         raise ValueError("k must be non-negative")
     if N < 0:
         raise ValueError("N must be non-negative")
-    price, run = _multisum(k + 1, None, N)
-    _refuse_above_cap(f"multisum k={k + 1} to order {N}", price)
-    return run()
+    return _build(f"multisum k={k + 1} to order {N}", _multisum(k + 1, None, N))[0]
 
 
 # census and h_count of n read the series to n rounded up to this step, so
@@ -441,8 +438,8 @@ def _unpack_row(row: int, slots: int, words: int) -> tuple[int, ...]:
     return tuple(cells)
 
 
-# Bounded in entries, not bytes (sizes in the docstring).  32 entries hold
-# every (k, m) the census suite touches (k <= 3, m in -2..4) at one order.
+# Bounded in entries, not bytes (sizes in the docstring); census, h_count and h_census_series
+# (so verify h_closed_form) share it.  32 hold the census suite's k <= 3, m in -2..4 at one order.
 @lru_cache(maxsize=32)
 def _rank_series(k: int, m: int, order: int) -> tuple[tuple[int, ...], ...]:
     """Counts of (k,m)-rank values for every n <= order; one entry holds
@@ -490,9 +487,7 @@ def _rank_series(k: int, m: int, order: int) -> tuple[tuple[int, ...], ...]:
     no k 0-rectangles), and a mismatch raises InternalInvariantViolation.
     Raises ImpracticalOrder when the price of that plan passes the cap.
     """
-    price, run = _series_plan(k, m, order)
-    _refuse_above_cap(f"rank series k={k} m={m} to order {order}", price)
-    return run()
+    return _build(f"rank series k={k} m={m} to order {order}", _series_plan(k, m, order))[0]
 
 
 def _rank_rows(k: int, m: int, order: int, levels: list, passes: list) -> tuple:
@@ -580,15 +575,21 @@ def h_census_series(k: int, m: int, r: int, mode: str, order: int) -> QSeries:
     """Generating function of rank-census counts, one coefficient per n.
 
     mode 'le' counts partitions with (k,m)-rank <= r, mode 'ge' with
-    rank >= r.  Read off the census engine's bivariate rank series, which
-    raises ImpracticalOrder above ``MAX_SERIES_COST`` coefficient additions:
+    rank >= r.  Read off the census engine's cached bivariate rank series,
+    which ``verify h_closed_form`` shares, and refused at that series' price:
     beyond order 644 for k = 1 and 792 for k = 3 at m = 0 (the comment on
     ``partition.MAX_SERIES_COST`` gives the time of a series at those caps).
     """
     _check_ints(k=k, m=m, r=r, order=order)
+    plan = _h_census(k, m, r, mode, order)
+    return _series(f"rank series k={k} m={m} to order {order}", order, plan)
+
+
+def _h_census(k: int, m: int, r: int, mode: str, order: int):
+    # the plan of h_census_series, checked: priced as its rank series, run on the cached one
     if mode not in ("le", "ge"):
         raise ValueError("mode must be 'le' or 'ge'")
-    return QSeries._fromcoeffs([_h(row, r, mode) for row in _rank_series(k, m, order)], order)
+    return _series_plan(k, m, order)[0], lambda: [_h(x, r, mode) for x in _rank_series(k, m, order)]
 
 
 def _h_closed_form(k: int, m: int, r: int, order: int) -> list[int]:
@@ -612,6 +613,11 @@ def _theta(k: int, order: int) -> list[int]:
     return cs
 
 
+def _theta_plan(k: int, order: int):
+    # the theta side of verify pentagonal (k = 1), verify jacobi and jacobi_specialization
+    return (order + 1, 0), lambda: _theta(k, order)
+
+
 def schur_rhs(k: int, order: int) -> QSeries:
     """Alternating-theta side: theta_k(q) / (q)_infinity, one division
     by ``partition._divide_by_euler``.
@@ -620,7 +626,7 @@ def schur_rhs(k: int, order: int) -> QSeries:
     theta sum is allocated.
     """
     _check_ints(k=k, order=order)
-    return _series(f"p_table to {order}", order, *_schur_rhs(k, order))
+    return _series(f"p_table to {order}", order, _schur_rhs(k, order))
 
 
 def _schur_rhs(k: int, order: int):
@@ -634,7 +640,7 @@ def rr_product(k: int, a_shift: int, order: int) -> QSeries:
     """Product over n not congruent to 0 or +-a_shift mod 2k+1 of 1/(1-q^n),
     priced and refused like ``pochhammer``."""
     _check_ints(k=k, a_shift=a_shift, order=order)
-    return _series(f"rr_product to order {order}", order, *_rr_product(k, a_shift, order))
+    return _series(f"rr_product to order {order}", order, _rr_product(k, a_shift, order))
 
 
 def _rr_product(k: int, a_shift: int, order: int):
@@ -653,20 +659,20 @@ def _rr_product(k: int, a_shift: int, order: int):
 def jacobi_specialization(k: int, order: int) -> tuple[QSeries, QSeries]:
     """The theta sum and the matching sparse product; the two must agree.
 
-    The product runs over n congruent to 0 or +-k mod 2k+1 of (1 - q^n),
-    priced and refused like ``pochhammer``.
+    The product over n congruent to 0 or +-k mod 2k+1 of (1 - q^n) is priced
+    like ``pochhammer``, and refused with the theta side, as ``verify jacobi``.
     """
     _check_ints(k=k, order=order)
-    product = _series(f"jacobi product to order {order}", order, *_jacobi_product(k, order))
-    return QSeries._fromcoeffs(_theta(k, order), order), product
+    sides = _build(f"jacobi product to order {order}", *_jacobi(k, order))
+    return tuple(QSeries._fromcoeffs(cs, order) for cs in sides)
 
 
-def _jacobi_product(k: int, order: int):
-    # the plan of the product side of jacobi_specialization, checked
+def _jacobi(k: int, order: int):
+    # the plans of the theta side and the product side of jacobi_specialization, checked
     if k < 1:
         raise ValueError("k must be positive")
-    mod = 2 * k + 1
-    return _product(order, [range(c, order + 1, mod) for c in (k, k + 1, mod)], False)
+    factors = [range(c, order + 1, 2 * k + 1) for c in (k, k + 1, 2 * k + 1)]
+    return _theta_plan(k, order), _product(order, factors, False)
 
 
 class VerificationReport(NamedTuple):
@@ -690,20 +696,17 @@ def _first_mismatch(lhs: list[int], rhs: list[int]) -> dict | None:
 def _closed_form_sides(order: int, k: int, m: int, r: int):
     if not ((m >= 0 and r >= 1) or (m == 0 and r == 0)):
         raise UnsupportedRegion("closed form requires m >= 0 and r >= 1, or m = r = 0")
-    price, rows = _series_plan(k, m, order)  # h_census_series(k, m, -r, "le", order), uncached
-    return ((price, lambda: [_h(row, -r, "le") for row in rows()]),
-            (_euler_price(order), lambda: _h_closed_form(k, m, r, order)))
+    closed_form = (_euler_price(order), lambda: _h_closed_form(k, m, r, order))
+    return _h_census(k, m, -r, "le", order), closed_form
 
 
 # name -> (parameter names, sides(order, **params) -> the (price, run) plans of lhs and rhs)
 _IDENTITY_SIDES = {
-    "pentagonal": ((), lambda order: (_product(order, [range(1, order + 1)], False),
-                                      ((order + 1, 0), lambda: _theta(1, order)))),
+    "pentagonal": ((), lambda order: (_pochhammer(None, order), _theta_plan(1, order))),
     "schur": (("k",), lambda order, k: (_multisum(k, None, order), _schur_rhs(k, order))),
     "rr": (("k",), lambda order, k: (_multisum(k, None, order), _rr_product(k, k, order))),
     "andrews": (("k", "a"), lambda order, k, a: (_multisum(k, a, order), _rr_product(k, a, order))),
-    "jacobi": (("k",), lambda order, k: (((order + 1, 0), lambda: _theta(k, order)),
-                                         _jacobi_product(k, order))),
+    "jacobi": (("k",), lambda order, k: _jacobi(k, order)),
     "h_closed_form": (("k", "m", "r"), _closed_form_sides),
 }
 IDENTITIES = tuple(_IDENTITY_SIDES)
@@ -725,7 +728,7 @@ def verify_identity(
     Pentagonal compares the product (q)_inf with its theta sum, so it does
     not lean on ``p_table``, which is that same identity as a recurrence.
 
-    Each side is planned once, on exponents only, and the two prices go
+    Each side is the plan of its public series, and the two prices go
     through the cap rule together, so ImpracticalOrder comes before either
     side is built.  Every order up to 2000 is accepted, whatever k; the cap
     is 6324 for pentagonal and jacobi k = 1, 9837 for rr k = 2, 6093 for
@@ -742,7 +745,5 @@ def verify_identity(
     for pname, v in params.items():
         if v is None:
             raise ValueError(f"identity {name!r} needs parameter {pname!r}")
-    (lhs_price, lhs), (rhs_price, rhs) = sides(order, **params)
-    _refuse_above_cap(f"verify {name} to order {order}", lhs_price, rhs_price)
-    mismatch = _first_mismatch(lhs(), rhs())
+    mismatch = _first_mismatch(*_build(f"verify {name} to order {order}", *sides(order, **params)))
     return VerificationReport(name, params, order, mismatch is None, mismatch)

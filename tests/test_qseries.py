@@ -23,6 +23,7 @@ from durfee import (
     rank_census,
     rr_product,
     schur_rhs,
+    selftest,
     verify_identity,
 )
 from durfee.errors import ImpracticalOrder, UnknownIdentity, UnsupportedRegion
@@ -188,7 +189,8 @@ def test_series_entry_points_refuse_huge_orders_at_once():
     big = 10**9
     for call, args in ((p_table, (big,)), (inv_euler, (big,)), (pochhammer, (None, big)),
                        (pochhammer, (0, big)), (rr_product, (2, 1, big)), (rr_product, (1, 1, big)),
-                       (jacobi_specialization, (2, big)), (schur_rhs, (2, big)),
+                       (jacobi_specialization, (2, big)), (jacobi_specialization, (10**7, 10**7)),
+                       (schur_rhs, (2, big)),
                        (QSeries.zero, (big,)), (QSeries, ([1], big))):
         t = time.perf_counter()
         with pytest.raises(ImpracticalOrder):
@@ -277,12 +279,18 @@ def test_verify_boundary_calls():
     # an empty product and a one-level multisum make no additions, but
     # their 2 (order + 1) cells pass the cap
     t = time.perf_counter()
-    with pytest.raises(ImpracticalOrder, match="needs 39999998 coefficient additions"):
+    with pytest.raises(ImpracticalOrder, match="needs 39999998 cells"):
         verify_identity("rr", 19999998, k=1)
     assert time.perf_counter() - t < 0.1
     for name, params in (("pentagonal", {}), ("jacobi", {"k": 1})):
         with pytest.raises(ImpracticalOrder, match="needs 20005975 coefficient additions"):
             verify_identity(name, 6325, **params)
+    # jacobi_specialization prices its theta side with its product, as verify
+    # jacobi does: the product alone is 10,000,001 cells and 1 addition
+    for call in (lambda: verify_identity("jacobi", 10**7, k=10**7),
+                 lambda: jacobi_specialization(10**7, 10**7)):
+        with pytest.raises(ImpracticalOrder, match=r"needs 20000002 cells \(cap"):
+            call()
     # a missing parameter is named before any price, at any order
     with pytest.raises(ValueError, match="needs parameter 'k'"):
         verify_identity("rr", 10**18)
@@ -344,12 +352,26 @@ def test_h_census_series_values():
 def test_h_census_series_guards():
     with pytest.raises(ValueError):
         h_census_series(1, 0, 0, "<=", 5)
-    with pytest.raises(ImpracticalOrder):  # the cap is order 630 for k = 1
+    with pytest.raises(ImpracticalOrder):  # the cap is order 644 for k = 1
         h_census_series(1, 0, 0, "le", 700)
     le = h_census_series(1, 0, 0, "le", 200)
     ge = h_census_series(1, 0, 1, "ge", 200)
     assert le.order == 200
     assert le.coeffs[200] + ge.coeffs[200] == p_table(200)[200]
+
+
+def test_verify_h_closed_form_reads_the_cached_rank_series():
+    qseries._rank_series.cache_clear()
+    h_census_series(2, 1, -2, "le", 40)
+    before = qseries._rank_series.cache_info()
+    assert verify_identity("h_closed_form", 40, k=2, m=1, r=2).ok
+    after = qseries._rank_series.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    # the suite checks 10 (m, r) pairs per k at two orders: one series per
+    # (k, m, order), 3 * 3 * 2 of them
+    qseries._rank_series.cache_clear()
+    assert all(check.ok for check in selftest.qseries_suite())
+    assert qseries._rank_series.cache_info().misses == 18
 
 
 def test_verify_identity_reports():
