@@ -26,7 +26,7 @@ from .errors import (
     RankTooSmall,
     ZeroWidthRectangle,
 )
-from .partition import MAX_PARTS, Partition, _conjugate_parts
+from .partition import MAX_PARTS, Partition, _check_ints, _conjugate_parts
 from .rank import _rank_raw, dyson_rank
 from .select_insert import (
     _check_bounds,
@@ -43,6 +43,8 @@ def dyson_map(lam: Partition, r: int) -> Partition:
     Defined when dyson_rank(lam) <= r; then the new first row is at least
     as large as the remaining parts and the size grows by r - 1.
     """
+    if type(r) is not int:  # the cheap test; the helper names the culprit
+        _check_ints(r=r)
     if dyson_rank(lam) > r:
         raise RankTooLarge(f"rank {dyson_rank(lam)} > {r}")
     rest = tuple(x - 1 for x in lam.parts if x > 1)
@@ -94,6 +96,8 @@ def gen_dyson(lam: Partition, k: int, m: int, r: int) -> Partition:
     (k,m)-rank at most -r; the image then has selection total t - r, at
     most t parts below, and size |lam| - r - k(m+1).
     """
+    if type(r) is not int:  # as in dyson_map; k and m are checked by the decomposition
+        _check_ints(r=r)
     widths, sides, below, rows, parts = _rank_raw(lam.parts, k, m)
     if any(w == 0 for w in widths):
         raise ZeroWidthRectangle(f"{lam.text()} has a zero-width {m}-Durfee rectangle")
@@ -132,6 +136,8 @@ def gen_dyson_inverse(mu: Partition, k: int, m: int, r: int) -> Partition:
     preimage of more than ``partition.MAX_PARTS`` parts raises
     ImpracticalOrder before any of it is built.
     """
+    if not (type(m) is type(r) is int):  # as in gen_dyson; m + 2 would hide a bool m
+        _check_ints(m=m, r=r)
     widths, sides, below, rows, parts = _rank_raw(mu.parts, k, m + 2)
     a = sum(parts)
     rank = a - len(below)

@@ -36,7 +36,7 @@ from .errors import (
     InvalidDecomposition,
     NoSuchDecomposition,
 )
-from .partition import MAX_PARTS, Partition, _parts_text
+from .partition import MAX_PARTS, Partition, _check_ints, _parts_text
 
 
 class DurfeeDecomposition(NamedTuple):
@@ -93,6 +93,8 @@ def decompose(lam: Partition, k: int, m: int) -> DurfeeDecomposition:
 
 def _decompose_raw(ps: tuple[int, ...], k: int, m: int):
     """``decompose`` on a part tuple: (widths, side part tuples, below parts)."""
+    if not (type(k) is type(m) is int):  # the cheap test; the helper names the culprit
+        _check_ints(k=k, m=m)
     if k < 1:
         raise ValueError("k must be positive")
     _refuse_many_widths(k, m)

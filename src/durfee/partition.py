@@ -21,12 +21,12 @@ MAX_PARTS = 1_000_000
 # is built, applies one rule to a series or to the two sides of a verify:
 # the summed cells and the summed additions must each stay within the cap.
 # Measured at the caps on a 2-core VM (Python 3.11, best of 3 in process):
-# the census engine 0.17 s (order 644, k = 1) and 0.31 s (792, k = 3),
-# multisum_lhs 1.5 s (2317, large k), p_table(69784) 3.1 s, and the
+# the census engine 0.13 s (order 644, k = 1) and 0.22 s (793, k = 3),
+# multisum_lhs 1.4 s (2354, large k), p_table(69784) 3.0 s, and the
 # costliest verify at each identity's cap over k in {1, 2, 3, 5, 10}:
-# pentagonal 0.49 s (6324), schur 2.1 s (k = 2, 50804), rr 0.97 s (k = 10,
-# 3615), andrews 1.2 s (k = a = 10, 3615), jacobi 0.54 s (k = 10, 16735)
-# and h_closed_form 0.50 s (k = 10, 999).
+# pentagonal 0.69 s (6324), schur 1.6 s (k = 2, 50804), rr 1.3 s (k = 5,
+# 4615), andrews 1.1 s (k = a = 10, 3753), jacobi 0.59 s (k = 1, 6324)
+# and h_closed_form 0.38 s (k = 10, 999).
 MAX_SERIES_COST = 20_000_000
 
 
@@ -201,12 +201,13 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
 
     The order starts at (n) and ends at (1,...,1); it is fixed so golden
     files stay stable.  Lazy: each partition is built as it is asked for,
-    and nothing is cached.
+    and nothing is cached.  A bad n raises at the call, before any is built.
     """
+    if type(n) is not int:  # the cheap test; the helper names the culprit
+        _check_ints(n=n)
     if n < 0:
         raise ValueError("n must be non-negative")
-    for parts in _iter_partition_tuples(n):
-        yield Partition._fromparts(parts)
+    return map(Partition._fromparts, _iter_partition_tuples(n))
 
 
 def _iter_partition_tuples(n: int) -> Iterator[tuple[int, ...]]:
@@ -246,6 +247,8 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
 
     Raises ValueError for negative n.
     """
+    if type(n) is not int:  # as in enumerate_partitions; the cache would read True as 1
+        _check_ints(n=n)
     return tuple(Partition._fromparts(t) for t in _partition_tuples(n))
 
 
@@ -282,9 +285,11 @@ def _divide_by_euler(cs: list[int]) -> list[int]:
 
     Runs in blocks of 64 coefficients.  A generalized pentagonal number g
     >= 64 reads only coefficients finished before the block, so it goes
-    into the whole block (from n = g on) as one slice addition; only the
-    twelve g < 64 run one n at a time.  Each term is one addition, so
-    ``_euler_price(len(cs) - 1)`` counts them exactly.  Returns cs.
+    into the whole block (from n = g on) as one slice addition.  The twelve
+    g < 64 (1, 2, 5, 7, 12, 15, 22, 26, 35, 40, 51, 57) are one
+    straight-line sum per n >= 57; below that a loop takes the g <= n.
+    Each term is one addition, so ``_euler_price(len(cs) - 1)`` counts
+    them exactly.  Returns cs.
     """
     size = len(cs)
     terms = []  # (g, 1 for + or 0 for -), every generalized pentagonal g < size, ascending
@@ -292,7 +297,16 @@ def _divide_by_euler(cs: list[int]) -> list[int]:
     while (g := j * (3 * j - 1) // 2) < size:
         terms += [(h, j % 2) for h in (g, g + j) if h < size]
         j += 1
-    near = [(g, plus) for g, plus in terms if g < _BLOCK]
+    for n in range(min(size, 57)):  # the g <= n, one at a time
+        total = cs[n]
+        for g, plus in terms:
+            if g > n:
+                break
+            if plus:
+                total += cs[n - g]
+            else:
+                total -= cs[n - g]
+        cs[n] = total
     far = [(g, add if plus else sub) for g, plus in terms if g >= _BLOCK]
     for b in range(0, size, _BLOCK):
         end = min(b + _BLOCK, size)
@@ -302,16 +316,10 @@ def _divide_by_euler(cs: list[int]) -> list[int]:
                 break
             lo = max(b, g)
             block[lo - b :] = map(op, block[lo - b :], cs[lo - g : end - g])
-        for n in range(b, end):
-            total = block[n - b]
-            for g, plus in near:
-                if g > n:
-                    break
-                if plus:
-                    total += cs[n - g]
-                else:
-                    total -= cs[n - g]
-            cs[n] = total
+        for n in range(max(b, 57), end):
+            cs[n] = (block[n - b] + cs[n - 1] + cs[n - 2] - cs[n - 5] - cs[n - 7] + cs[n - 12]
+                     + cs[n - 15] - cs[n - 22] - cs[n - 26] + cs[n - 35] + cs[n - 40]
+                     - cs[n - 51] - cs[n - 57])
     return cs
 
 

@@ -122,35 +122,32 @@ def _mul(a, b, T: int) -> list[int]:
     Kronecker substitution: each operand becomes one integer with a byte
     slot per coefficient, wide enough that every product coefficient c
     satisfies |c| < 2^(w-1) for a slot of w bits (w >= bits(max|a|) +
-    bits(max|b|) + bits(min length) + 1).  Negative coefficients pack as
-    the positive part minus the negative part.  One big-integer multiply
-    forms every convolution at once; adding 2^(w-1) to each of the T + 1
-    low slots makes them non-negative, so a mask and one ``to_bytes`` give
-    the coefficients back.  Exact for any integers.
+    bits(max|b|) + bits(min length) + 1).  ``_pack`` writes each operand's
+    slots in one byte string.  One big-integer multiply forms every
+    convolution at once; adding 2^(w-1) to each of the T + 1 low slots
+    makes them non-negative, so a mask and one ``to_bytes`` give the
+    coefficients back.  Exact for any integers.
     """
     a, b = a[: T + 1], b[: T + 1]
-    amax = max(map(abs, a), default=0)
-    bmax = max(map(abs, b), default=0)
-    if not amax or not bmax:
+    if not (any(a) and any(b)):
         return [0] * (T + 1)
+    amax, bmax = max(max(a), -min(a)), max(max(b), -min(b))
     bits = amax.bit_length() + bmax.bit_length() + min(len(a), len(b)).bit_length() + 1
     width = (bits + 7) // 8
     slots = width * (T + 1)
     half = 1 << (8 * width - 1)
-    bias = int.from_bytes(half.to_bytes(width, "little") * (T + 1), "little")
-    product = (_pack(a, width) * _pack(b, width) + bias) & ((1 << (8 * slots)) - 1)
-    raw = product.to_bytes(slots, "little")
+    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * (T + 1), "little")  # 1 in every slot
+    product = _pack(a, width, ones) * _pack(b, width, ones) + half * ones
+    raw = (product & ((1 << (8 * slots)) - 1)).to_bytes(slots, "little")
     return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, slots, width)]
 
 
-def _pack(cs, width: int) -> int:
-    # sum of cs[i] * 256^(width i) for signed cs, each |cs[i]| < 256^width
-    pos = int.from_bytes(b"".join([max(c, 0).to_bytes(width, "little") for c in cs]), "little")
-    if min(cs) >= 0:
-        return pos
-    return pos - int.from_bytes(
-        b"".join([max(-c, 0).to_bytes(width, "little") for c in cs]), "little"
-    )
+def _pack(cs, width: int, ones: int) -> int:
+    # sum of cs[i] * 256^(width i) for signed cs, each |cs[i]| < 2^(8 width - 1): the
+    # slots are written in two's complement, one pass, where a negative slot reads
+    # 256^width too high, so one borrow from the slot above each sign bit corrects all
+    p = int.from_bytes(b"".join([c.to_bytes(width, "little", signed=True) for c in cs]), "little")
+    return p - (((p >> (8 * width - 1)) & ones) << 8 * width)
 
 
 def _times_geometric(cs: list[int], n: int, start: int) -> None:
@@ -261,10 +258,13 @@ def _levels_plan(k: int, exponent, low: int, top: int, order: int) -> tuple[list
     e(j,v), so a width dies once that passes the order, the narrowest last.
     Once width 0 is the only one left, every further level leaves it
     unchanged, so the plan stops there and its cost stops growing with k.
-    A pass of 1/(1 - q^s) over L coefficients makes L - s additions, and
-    adding H_{j-1}(u) L more, none at level 2, where H_1(u) is a monomial
-    below them.  Stops once past MAX_SERIES_COST; a caller whose cells pass
-    it already does not call it, as it lists about sqrt(order) widths.
+    The sum for H_j(v) keeps its coefficients below q^(order - e(j,v) + 1)
+    only, so it runs over those and skips every u whose H_{j-1}(u) starts
+    past them.  A pass of 1/(1 - q^s) over a running sum of L kept
+    coefficients makes L - s additions, and adding H_{j-1}(u) L more, none
+    at level 2, where H_1(u) is a monomial below them.  Stops once past
+    MAX_SERIES_COST; a caller whose cells pass it already does not call
+    it, as it lists about sqrt(order) widths.
     """
     narrowest = 0
     for j in range(1, k + 1 if low else 1):  # width 0 never dies
@@ -285,7 +285,10 @@ def _levels_plan(k: int, exponent, low: int, top: int, order: int) -> tuple[list
             if start > order:
                 break
             for u in range(v, len(prev) - 1):
-                fill = order + 1 - prev[u + 1]  # coefficients of the running sum
+                # coefficients of the running sum that H_j(v) keeps
+                fill = order + 1 - start - (prev[u + 1] - prev[v])
+                if fill <= 0:
+                    break
                 cost += max(0, fill - (u - v + 1)) + (fill if j > 2 else 0)
             if cost > MAX_SERIES_COST:
                 return plan, cost
@@ -298,23 +301,33 @@ def _levels_plan(k: int, exponent, low: int, top: int, order: int) -> tuple[list
 def _durfee_levels(plan: list[list[int]], order: int) -> list[list[int]]:
     """Runs a ``_levels_plan``: the series of its last level, truncated at
     q^order, narrowest width first.  Each sum is Horner over u, widest
-    first: acc = H_{j-1}(u) + acc / (1 - q^(u-v+1)).
+    first: acc = H_{j-1}(u) + acc / (1 - q^(u-v+1)), in place in one list
+    of the order + 1 - start coefficients H_j(v) keeps, so no u whose
+    H_{j-1}(u) starts past them is summed.
     """
     # (lowest exponent, coefficients from there on; missing ones up to q^order are 0)
     h = [(e, [1]) for e in plan[0]]
     for starts in plan[1:]:
         nxt = []
         for v, start in enumerate(starts):
-            base, cs = h[-1]
-            acc = cs + [0] * (order + 1 - base - len(cs))
-            for u in range(len(h) - 2, v - 1, -1):
-                _times_geometric(acc, u - v + 1, 0)
+            low = h[v][0]
+            size = order + 1 - start
+            acc = [0] * size  # the exponents low .. low + size - 1
+            top = v
+            while top + 1 < len(h) and h[top + 1][0] - low < size:
+                top += 1
+            base = size  # the running sum is zero below acc[base]
+            for u in range(top, v - 1, -1):
+                if u < top:
+                    _times_geometric(acc, u - v + 1, base + u - v + 1)
+                # H_{j-1}(u) from acc[d] on: copied below the running sum, added into it
                 lowest, cs = h[u]
-                d = base - lowest
-                acc = cs[:d] + [0] * (d - len(cs)) + acc
-                acc[d : len(cs)] = map(add, acc[d : len(cs)], cs[d:])
-                base = lowest
-            del acc[order + 1 - start :]
+                d = lowest - low
+                end = min(size, d + len(cs))
+                mid = min(base, end)
+                acc[d:mid] = cs[: mid - d]
+                acc[base:end] = map(add, acc[base:end], cs[base - d : end - d])
+                base = d
             nxt.append((start, acc))
         h = nxt
     return [[0] * base + cs + [0] * (order + 1 - base - len(cs)) for base, cs in h]
@@ -331,7 +344,7 @@ def multisum_lhs(k: int, a_shift: int | None, order: int) -> QSeries:
     v is N_j and 1/(q)_{u-v} is 1/(q)_{n_j}.  Level j holds the widths with
     j v^2 <= order, about sqrt(order/j) of them, so the cost is
     O(order^2 log order) for any k.  Raises ImpracticalOrder when the
-    plan's price passes MAX_SERIES_COST additions: past order 2317 for large k,
+    plan's price passes MAX_SERIES_COST additions: past order 2354 for large k,
     later for small k, and at k = 1 once the order + 1 coefficients alone
     pass it.
     """
@@ -577,7 +590,7 @@ def h_census_series(k: int, m: int, r: int, mode: str, order: int) -> QSeries:
     mode 'le' counts partitions with (k,m)-rank <= r, mode 'ge' with
     rank >= r.  Read off the census engine's cached bivariate rank series,
     which ``verify h_closed_form`` shares, and refused at that series' price:
-    beyond order 644 for k = 1 and 792 for k = 3 at m = 0 (the comment on
+    beyond order 644 for k = 1 and 793 for k = 3 at m = 0 (the comment on
     ``partition.MAX_SERIES_COST`` gives the time of a series at those caps).
     """
     _check_ints(k=k, m=m, r=r, order=order)
@@ -663,7 +676,7 @@ def jacobi_specialization(k: int, order: int) -> tuple[QSeries, QSeries]:
     like ``pochhammer``, and refused with the theta side, as ``verify jacobi``.
     """
     _check_ints(k=k, order=order)
-    sides = _build(f"jacobi product to order {order}", *_jacobi(k, order))
+    sides = _build(f"jacobi_specialization to order {order}", *_jacobi(k, order))
     return tuple(QSeries._fromcoeffs(cs, order) for cs in sides)
 
 
@@ -731,8 +744,8 @@ def verify_identity(
     Each side is the plan of its public series, and the two prices go
     through the cap rule together, so ImpracticalOrder comes before either
     side is built.  Every order up to 2000 is accepted, whatever k; the cap
-    is 6324 for pentagonal and jacobi k = 1, 9837 for rr k = 2, 6093 for
-    rr k = 3, and 644 (k = 1) or 792 (k = 3) for h_closed_form at m = 0.
+    is 6324 for pentagonal and jacobi k = 1, 9837 for rr k = 2, 6367 for
+    rr k = 3, and 644 (k = 1) or 793 (k = 3) for h_closed_form at m = 0.
     """
     _check_ints(("k", "a", "m", "r"), order=order, k=k, a=a, m=m, r=r)
     if order < 0:

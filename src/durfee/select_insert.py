@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import ImpracticalOrder, InsertionUnderflow, InternalInvariantViolation
-from .partition import MAX_SERIES_COST, Partition
+from .partition import MAX_SERIES_COST, Partition, _check_ints
 
 
 class PartitionSequence:
@@ -277,6 +277,8 @@ def insert(a: int, seq: PartitionSequence) -> PartitionSequence:
     O(k * (parts + sum(p_i))) for any a.  That bound is its price; past
     MAX_SERIES_COST it raises ImpracticalOrder before anything is built.
     """
+    if type(a) is not int:  # the cheap test; the helper names the culprit
+        _check_ints(a=a)
     if a < 0:
         raise ValueError("insertion total must be non-negative")
     cost = seq.k * (2 * sum(seq.bounds) + 4) + sum(map(len, seq.partitions))
@@ -299,6 +301,8 @@ def iterate_remove(
     The totals are weakly decreasing: each removal only exposes rows at or
     below the previously selected ones.
     """
+    if type(t) is not int:  # as in insert
+        _check_ints(t=t)
     if t < 0:
         raise ValueError("t must be non-negative")
     work = [list(p.parts) for p in seq.partitions]

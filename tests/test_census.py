@@ -125,7 +125,7 @@ def test_census_refuses_orders_past_the_cap():
         h_census_series(1, 0, 0, "le", 10**18)
     assert time.perf_counter() - t < 0.1
     # the exact count puts the caps here; pricing alone builds no series
-    for k, m, order in ((1, 0, 644), (3, 0, 792)):
+    for k, m, order in ((1, 0, 644), (3, 0, 793)):
         assert max(qseries_module._series_plan(k, m, order)[0]) <= MAX_SERIES_COST
         assert max(qseries_module._series_plan(k, m, order + 1)[0]) > MAX_SERIES_COST
 
@@ -182,13 +182,15 @@ def test_cost_estimates_count_every_addition(monkeypatch, k):
     monkeypatch.setattr(qseries_module, "accumulate", accumulate)
     monkeypatch.setattr(qseries_module, "_shift_add_rows", shift_add_rows)
     monkeypatch.setattr(qseries_module, "q_table", q_table_uncounted)
-    def multisum_exponent(j, v):
-        return v * v + (v if j >= k else 0)
-
     for order in (0, 1, 7, 40, 90):
-        count[0] = 0
-        multisum_lhs(k, None, order)
-        assert count[0] == _levels_plan(k, multisum_exponent, 0, 0, order)[1]
+        for a in range(1, k + 1):  # a = k is the unshifted multisum
+            count[0] = 0
+            multisum_lhs(k, a, order)
+
+            def exponent(j, v):
+                return v * v + (v if j >= a else 0)
+
+            assert count[0] == _levels_plan(k, exponent, 0, 0, order)[1], (a, order)
         for m in range(-2, 3):
             count[0] = 0
             qseries_module._rank_series.__wrapped__(k, m, order)

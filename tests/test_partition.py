@@ -1,3 +1,4 @@
+import re
 import time
 
 import pytest
@@ -6,11 +7,21 @@ from hypothesis import strategies as st
 
 from durfee import (
     Partition,
+    PartitionSequence,
     durfee_square_widths,
+    dyson_map,
     enumerate_partitions,
+    garvan_conjugate,
+    garvan_rank,
+    gen_conjugate,
+    gen_dyson,
+    gen_dyson_inverse,
+    insert,
+    iterate_remove,
     p_table,
     partitions_of,
     q_table,
+    rank_km,
 )
 from durfee.decomposition import decompose
 from durfee.errors import EmptyPartition, ImpracticalOrder, NoSuchDecomposition
@@ -137,6 +148,40 @@ def test_negative_n_rejected():
         partitions_of(-1)
     with pytest.raises(ValueError):
         list(enumerate_partitions(-1))
+
+
+LAM = Partition([5, 5, 4, 1])
+SEQ = PartitionSequence((Partition([3, 1]), Partition([2])), (2,))
+
+
+@pytest.mark.parametrize("call, bad_calls", [
+    (enumerate_partitions, [((3.0,), "n must be an int, got 3.0"),
+                            ((True,), "n must be an int, got True")]),
+    (partitions_of, [((True,), "n must be an int, got True"),
+                     (("4",), "n must be an int, got '4'")]),
+    (dyson_map, [((LAM, 1.0), "r must be an int, got 1.0"),
+                 ((LAM, False), "r must be an int, got False")]),
+    (decompose, [((LAM, True, 0), "k must be an int, got True"),
+                 ((LAM, 1, 0.0), "m must be an int, got 0.0")]),
+    (rank_km, [((LAM, True, 1), "k must be an int, got True"),
+               ((LAM, 2, None), "m must be an int, got None")]),
+    (garvan_rank, [((LAM, True), "k must be an int, got True"),
+                   ((LAM, 1.0), "k must be an int, got 1.0")]),
+    (garvan_conjugate, [((LAM, True), "k must be an int, got True")]),
+    (gen_conjugate, [((LAM, 1.0), "k must be an int, got 1.0")]),
+    (gen_dyson, [((LAM, 1, 0, 0.0), "r must be an int, got 0.0"),
+                 ((LAM, True, 0, 0), "k must be an int, got True")]),
+    (gen_dyson_inverse, [((LAM, 1, True, 0), "m must be an int, got True"),
+                         ((LAM, 1, 0, 1.0), "r must be an int, got 1.0")]),
+    (insert, [((7.0, SEQ), "a must be an int, got 7.0")]),
+    (iterate_remove, [((SEQ, True), "t must be an int, got True")]),
+], ids=lambda v: getattr(v, "__name__", ""))
+def test_non_int_argument_is_type_error(call, bad_calls):
+    # a bool or a float is named, not read as a number, so no Partition gets
+    # a part that is not an int
+    for args, message in bad_calls:
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            call(*args)
 
 
 def test_enumerate_is_reverse_lexicographic_and_complete():

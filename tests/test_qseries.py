@@ -76,6 +76,33 @@ def test_mul_matches_schoolbook():
     assert _mul([1, -1], [1, 1, 1, 1], 5) == [1, 0, 0, 0, -1, 0]
 
 
+def test_mul_codec_edges():
+    # the slot of w bytes holds every product coefficient c with |c| < 2^(8w - 1)
+    for length, abits, bbits in ((127, 28, 28), (255, 28, 27), (3, 31, 30)):
+        # bits(max|a|) + bits(max|b|) + bits(length) + 1 is a whole number of bytes,
+        # so the largest coefficient, length (2^abits - 1)(2^bbits - 1), is past half the bound
+        atop, btop = 2**abits - 1, 2**bbits - 1
+        width = (abits + bbits + length.bit_length() + 1) // 8
+        assert abits + bbits + length.bit_length() + 1 == 8 * width
+        assert 2 * length * atop * btop > 2 ** (8 * width - 1)
+        alternating = [atop if i % 2 else -atop for i in range(length)]
+        for a, b in (([atop] * length, [btop] * length), ([-atop] * length, [btop] * length),
+                     ([-atop] * length, [-btop] * length), (alternating, [btop] * length),
+                     (alternating, [-x for x in alternating])):
+            for T in (0, length - 1, 2 * length - 2, 2 * length + 5):  # also past both lengths
+                assert _mul(a, b, T) == schoolbook(a, b, T), (length, abits, T)
+    # every width from 1 to 10 bytes, with negative, positive and mixed operands
+    for bits in range(0, 72):
+        for x, y in ((2**bits, 2**bits - 1), (-(2**bits), 2**bits), (2**bits, -1)):
+            a, b = [x, -x, x], [y, y]
+            for T in (0, 1, 3, 6):
+                assert _mul(a, b, T) == schoolbook(a, b, T), (bits, x, y, T)
+    for T in (0, 1, 5):
+        assert _mul([-3], [-4], T) == schoolbook([-3], [-4], T)  # one coefficient each
+        assert _mul([-1, -2, -3], [-4, -5], T) == schoolbook([-1, -2, -3], [-4, -5], T)
+        assert _mul([0, 0], [0], T) == _mul([7], [0, 0, 0], T) == [0] * (T + 1)
+
+
 def test_mixed_orders_truncate_to_smaller():
     a = QSeries([1, 1, 1, 1, 1, 1], 5)
     b = QSeries([1, 2], 1)
@@ -178,9 +205,9 @@ def test_multisum_cost_is_bounded_in_k():
     # every order up to 2000 stays accepted, whatever k
     for k in (1, 2, 3, 10, 10**9):
         assert _levels_plan(k, lambda j, v: v * v, 0, 0, 2000)[1] <= MAX_SERIES_COST, k
-    # and the cap for large k sits at 2317
-    assert _levels_plan(10**9, lambda j, v: v * v, 0, 0, 2317)[1] <= MAX_SERIES_COST
-    assert _levels_plan(10**9, lambda j, v: v * v, 0, 0, 2318)[1] > MAX_SERIES_COST
+    # and the cap for large k sits at 2354
+    assert _levels_plan(10**9, lambda j, v: v * v, 0, 0, 2354)[1] <= MAX_SERIES_COST
+    assert _levels_plan(10**9, lambda j, v: v * v, 0, 0, 2355)[1] > MAX_SERIES_COST
 
 
 def test_series_entry_points_refuse_huge_orders_at_once():
@@ -214,18 +241,18 @@ def test_series_entry_points_refuse_huge_orders_at_once():
 # MAX_SERIES_COST there and not one order higher.
 VERIFY_CAPS = {
     ("pentagonal", ()): 6324,
-    ("schur", (1,)): 69784, ("schur", (2,)): 50804, ("schur", (3,)): 8724,
-    ("schur", (5,)): 5432, ("schur", (10,)): 4230,
-    ("rr", (1,)): 9999999, ("rr", (2,)): 9837, ("rr", (3,)): 6093,
-    ("rr", (5,)): 4413, ("rr", (10,)): 3615,
-    ("andrews", (1, 1)): 9999999, ("andrews", (2, 1)): 9838, ("andrews", (3, 1)): 6121,
-    ("andrews", (5, 1)): 4450, ("andrews", (10, 1)): 3665,
-    ("andrews", (2, 2)): 9837, ("andrews", (3, 3)): 6093, ("andrews", (5, 5)): 4413,
-    ("andrews", (10, 10)): 3615,
+    ("schur", (1,)): 69784, ("schur", (2,)): 50804, ("schur", (3,)): 9612,
+    ("schur", (5,)): 5832, ("schur", (10,)): 4458,
+    ("rr", (1,)): 9999999, ("rr", (2,)): 9837, ("rr", (3,)): 6367,
+    ("rr", (5,)): 4615, ("rr", (10,)): 3753,
+    ("andrews", (1, 1)): 9999999, ("andrews", (2, 1)): 9838, ("andrews", (3, 1)): 6395,
+    ("andrews", (5, 1)): 4658, ("andrews", (10, 1)): 3809,
+    ("andrews", (2, 2)): 9837, ("andrews", (3, 3)): 6367, ("andrews", (5, 5)): 4615,
+    ("andrews", (10, 10)): 3753,
     ("jacobi", (1,)): 6324, ("jacobi", (2,)): 8164, ("jacobi", (3,)): 9661,
     ("jacobi", (5,)): 12111, ("jacobi", (10,)): 16735,
-    ("h_closed_form", (1, 0, 1)): 644, ("h_closed_form", (2, 0, 1)): 731,
-    ("h_closed_form", (3, 0, 1)): 792, ("h_closed_form", (5, 0, 1)): 871,
+    ("h_closed_form", (1, 0, 1)): 644, ("h_closed_form", (2, 0, 1)): 732,
+    ("h_closed_form", (3, 0, 1)): 793, ("h_closed_form", (5, 0, 1)): 872,
     ("h_closed_form", (10, 0, 1)): 999,
 }
 
@@ -252,7 +279,7 @@ def test_verify_caps_are_the_pair_prices(sides_priced_only):
         params = verify_params(name, values)
         assert verify_identity(name, cap, **params).ok, (name, params)
     # every order up to 2000 is accepted, whatever k: rr at k = 10^6 is the
-    # costliest pair there (16,602,537 additions)
+    # costliest pair there (16,109,140 additions)
     for k in (1, 2, 3, 10, 10**6):
         for name in ("schur", "rr", "jacobi"):
             assert verify_identity(name, 2000, k=k).ok, (name, k)
@@ -272,10 +299,11 @@ def test_verify_boundary_calls():
     # the sides price 14,002 cells and 630,734 additions; the old blanket
     # price of order (order + 1) / 2 refused this call
     assert verify_identity("schur", 7000, k=1).ok
-    # 10,102,858 + 11,430,179 additions, over the cap although each side
-    # fits on its own
-    with pytest.raises(ImpracticalOrder, match="needs 21533037 coefficient additions"):
-        verify_identity("rr", 6324, k=3)
+    # one past the cap of rr k = 3 (6367): 8,413,532 + 11,589,760 additions,
+    # over the cap although each side fits on its own.  At 6324 the pair
+    # prices 19,729,308 additions since the level chains stop at what they keep
+    with pytest.raises(ImpracticalOrder, match="needs 20003292 coefficient additions"):
+        verify_identity("rr", 6368, k=3)
     # an empty product and a one-level multisum make no additions, but
     # their 2 (order + 1) cells pass the cap
     t = time.perf_counter()
@@ -286,11 +314,16 @@ def test_verify_boundary_calls():
         with pytest.raises(ImpracticalOrder, match="needs 20005975 coefficient additions"):
             verify_identity(name, 6325, **params)
     # jacobi_specialization prices its theta side with its product, as verify
-    # jacobi does: the product alone is 10,000,001 cells and 1 addition
-    for call in (lambda: verify_identity("jacobi", 10**7, k=10**7),
-                 lambda: jacobi_specialization(10**7, 10**7)):
-        with pytest.raises(ImpracticalOrder, match=r"needs 20000002 cells \(cap"):
+    # jacobi does, and its refusal names both: the product alone is 10,000,001
+    # cells and 1 addition
+    for call, what in ((lambda: verify_identity("jacobi", 10**7, k=10**7), "verify jacobi"),
+                       (lambda: jacobi_specialization(10**7, 10**7), "jacobi_specialization")):
+        message = rf"^{what} to order 10000000 needs 20000002 cells \(cap"
+        with pytest.raises(ImpracticalOrder, match=message):
             call()
+    with pytest.raises(ImpracticalOrder, match=r"^jacobi_specialization to order 6325 needs "
+                       r"20005975 coefficient additions \(cap 20000000\); refusing$"):
+        jacobi_specialization(1, 6325)
     # a missing parameter is named before any price, at any order
     with pytest.raises(ValueError, match="needs parameter 'k'"):
         verify_identity("rr", 10**18)
@@ -623,7 +656,8 @@ def divided(cs):
 
 
 def test_blocked_division_matches_unblocked_recurrence():
-    # every length up to 301 takes in the block edges 63-65 and 127-129
+    # every length up to 301 takes in the block edges 63-65 and 127-129 and
+    # n = 57, where the straight-line sum over the g < 64 takes over
     want = unblocked_division([1] + [0] * 300)
     for N in range(301):
         assert divided([1] + [0] * N) == want[: N + 1], N
@@ -632,7 +666,7 @@ def test_blocked_division_matches_unblocked_recurrence():
     for _ in range(4):
         num = [rng.choice((0, 0, 1, -1, rng.randint(-(10**30), 10**30))) for _ in range(301)]
         want = unblocked_division(num)
-        for N in (0, 1, 2, 40, 63, 64, 65, 127, 128, 129, 200, 300):
+        for N in [*range(131), 200, 300]:
             assert divided(num[: N + 1]) == want[: N + 1], N
             assert divided(num[: N + 1]) == _mul(num, p_table(N), N), N
 
