@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain, zip_longest
 from operator import add, lt, sub
 from typing import Iterator
 
@@ -31,10 +32,12 @@ MAX_SERIES_COST = 20_000_000
 
 
 def _build(what: str, *plans) -> list:
-    # the one place a series is built: the runs of the (price, run) plans, once the cap rule holds
+    # the one place a series is built: the runs of the (price, run) plans, once the cap rule holds;
+    # a refusal names additions as a lower bound, since a kernel stops pricing them past the cap
     cells, additions = map(sum, zip(*(price for price, _ in plans)))
     if max(cells, additions) > MAX_SERIES_COST:
-        measure = f"{cells} cells" if cells > additions else f"{additions} coefficient additions"
+        measure = (f"{cells} cells" if cells > additions
+                   else f"at least {additions} coefficient additions")
         raise ImpracticalOrder(f"{what} needs {measure} (cap {MAX_SERIES_COST}); refusing")
     return [run() for _, run in plans]
 
@@ -255,24 +258,57 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
 def p_table(N: int) -> list[int]:
     """Exact values p(0..N): 1 divided by (q)_inf, by ``_divide_by_euler``.
 
-    The price is N + 1 cells and its terms, N + 1 - g for every generalized
-    pentagonal g <= N, about 1.09 N^1.5.  Past MAX_SERIES_COST (N > 69784)
-    it raises ImpracticalOrder before the table is allocated.
+    Priced by ``_euler_price``: N + 1 cells and one addition per term of
+    Euler's recurrence, N + 1 - g for every generalized pentagonal g <= N,
+    about 1.09 N^1.5.  Past MAX_SERIES_COST (N > 69784) it raises
+    ImpracticalOrder before the table is allocated.
     """
     _check_ints(N=N)
-    return _build(f"p_table to {N}", (_euler_price(N), lambda: _divide_by_euler([1] + [0] * N)))[0]
-
-
-def _euler_price(N: int) -> tuple[int, int]:
-    # the check and price of p_table(N), shared by every division by (q)_inf: N + 1 cells,
-    # and its terms until past the cap (g1 = j(3j-1)/2 and g2 = g1 + j enter each n >= g)
     if N < 0:
         raise ValueError("N must be non-negative")
-    cost, j = 0, 1
-    while (g := j * (3 * j - 1) // 2) <= N and cost <= MAX_SERIES_COST:
-        cost += N + 1 - g + max(0, N + 1 - g - j)
+    return _build(f"p_table to {N}", _over_euler([(0, 1)], N))[0]
+
+
+def _tail(k: int, c: int, order: int) -> Iterator[tuple[int, int]]:
+    """The terms (e_j, (-1)^(j-1)) of the theta tail T_k(c), e_j = j((2k+1)j
+    + 2c - 1)/2 <= order, for k >= 1 and c >= 0: e_1 = k + c, and e_j rises.
+    Every sparse numerator is made of these: theta_k = 1 - T_k(1) - T_k(0),
+    (q)_inf = theta_1, and h(n,k,m,<=-r) = [q^n] T_k(r + km) / (q)_inf.
+    """
+    j = 1
+    while (e := j * ((2 * k + 1) * j + 2 * c - 1) // 2) <= order:
+        yield e, 1 if j % 2 else -1
         j += 1
-    return N + 1, cost
+
+
+def _sparse(terms, order: int):
+    # the plan of a sparse series: its (exponent <= order, sign) terms written into order + 1
+    # zero cells, priced as the cells alone; the terms are read only when the plan runs
+    def run():
+        cs = [0] * (order + 1)
+        for e, sign in terms:
+            cs[e] += sign
+        return cs
+    return (order + 1, 0), run
+
+
+def _over_euler(terms, order: int):
+    # the plan of the sparse series of terms divided by (q)_inf, priced as the division
+    return _euler_price(order), lambda: _divide_by_euler(_sparse(terms, order)[1]())
+
+
+def _euler_price(order: int) -> tuple[int, int]:
+    # the price of a division by (q)_inf to q^order: order + 1 cells, and until past the cap
+    # the additions of its terms, each g entering every n >= g, g_j and g_j + j as one step
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    cost = 0
+    pairs = zip_longest(_tail(1, 0, order), _tail(1, 1, order), fillvalue=(order + 1, 0))
+    for (g, _), (h, _) in pairs:
+        if cost > MAX_SERIES_COST:
+            break
+        cost += 2 * (order + 1) - g - h
+    return order + 1, cost
 
 
 _BLOCK = 64
@@ -281,7 +317,8 @@ _BLOCK = 64
 def _divide_by_euler(cs: list[int]) -> list[int]:
     """In place, cs becomes cs / (q)_inf modulo q^len(cs), by Euler's
     pentagonal recurrence c_n = cs_n + sum_{j >= 1} (-1)^(j-1) (c_(n-g_j)
-    + c_(n-g_j-j)), g_j = j(3j-1)/2.
+    + c_(n-g_j-j)): (q)_inf = 1 - T_1(1) - T_1(0), so g_j = j(3j-1)/2 and
+    g_j + j, with their signs, are the terms of ``_tail(1, 0 or 1, .)``.
 
     Runs in blocks of 64 coefficients.  A generalized pentagonal number g
     >= 64 reads only coefficients finished before the block, so it goes
@@ -292,22 +329,10 @@ def _divide_by_euler(cs: list[int]) -> list[int]:
     them exactly.  Returns cs.
     """
     size = len(cs)
-    terms = []  # (g, 1 for + or 0 for -), every generalized pentagonal g < size, ascending
-    j = 1
-    while (g := j * (3 * j - 1) // 2) < size:
-        terms += [(h, j % 2) for h in (g, g + j) if h < size]
-        j += 1
-    for n in range(min(size, 57)):  # the g <= n, one at a time
-        total = cs[n]
-        for g, plus in terms:
-            if g > n:
-                break
-            if plus:
-                total += cs[n - g]
-            else:
-                total -= cs[n - g]
-        cs[n] = total
-    far = [(g, add if plus else sub) for g, plus in terms if g >= _BLOCK]
+    terms = sorted(chain(_tail(1, 0, size - 1), _tail(1, 1, size - 1)))
+    for n in range(min(size, 57)):  # the g <= n of the twelve g < 64, one at a time
+        cs[n] = sum((sign * cs[n - g] for g, sign in terms[:12] if g <= n), cs[n])
+    far = [(g, add if sign > 0 else sub) for g, sign in terms if g >= _BLOCK]
     for b in range(0, size, _BLOCK):
         end = min(b + _BLOCK, size)
         block = cs[b:end]

@@ -15,19 +15,11 @@ import struct
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, chain
-from math import isqrt
 from operator import add, neg, sub
 from typing import NamedTuple
 
 from .errors import ImpracticalOrder, InternalInvariantViolation, UnknownIdentity, UnsupportedRegion
-from .partition import (
-    MAX_SERIES_COST,
-    _build,
-    _check_ints,
-    _divide_by_euler,
-    _euler_price,
-    p_table,
-)
+from .partition import MAX_SERIES_COST, _build, _check_ints, _over_euler, _sparse, _tail, p_table
 
 
 class QSeries:
@@ -238,11 +230,12 @@ def _pochhammer(n: int | None, order: int):
 def inv_euler(order: int) -> QSeries:
     """1/(q)_infinity: the coefficient of q^n is p(n).
 
-    Read off ``p_table``, Euler's pentagonal recurrence, in O(order^1.5),
-    and refused as it refuses.
+    The numerator 1 through ``partition._divide_by_euler``, Euler's
+    pentagonal recurrence, in O(order^1.5), as ``p_table`` builds it; priced
+    as it prices, and refused past order 69784 under its own name.
     """
     _check_ints(order=order)
-    return QSeries._fromcoeffs(p_table(order), order)
+    return _series(f"inv_euler to order {order}", order, _over_euler([(0, 1)], order))
 
 
 def _levels_plan(k: int, exponent, low: int, top: int, order: int) -> tuple[list[list[int]], int]:
@@ -605,48 +598,29 @@ def _h_census(k: int, m: int, r: int, mode: str, order: int):
     return _series_plan(k, m, order)[0], lambda: [_h(x, r, mode) for x in _rank_series(k, m, order)]
 
 
-def _h_closed_form(k: int, m: int, r: int, order: int) -> list[int]:
-    """(1/(q)_inf) sum_{j>=1} (-1)^(j-1) q^(jr + j(j-1)/2 + k(jm + j^2)), for
-    m, r >= 0, priced by its caller as the division alone (``_euler_price``):
-    each term of the sparse sum is written into its own zero cell."""
-    cs = [0] * (order + 1)
-    for j in range(1, isqrt(order) + 1):  # the exponent is at least j^2
-        if (e := j * r + j * (j - 1) // 2 + k * (j * m + j * j)) <= order:
-            cs[e] = 1 if j % 2 else -1
-    return _divide_by_euler(cs)
-
-
-def _theta(k: int, order: int) -> list[int]:
-    """sum over all integers j of (-1)^j q^(j(j+1)(2k+1)/2 - k j); each term
-    is written into its own zero cell, so it is priced as cells alone."""
-    cs = [0] * (order + 1)
-    for j in range(-isqrt(order), isqrt(order) + 1):  # the exponent is at least j^2
-        if (e := j * (j + 1) * (2 * k + 1) // 2 - k * j) <= order:
-            cs[e] = -1 if j % 2 else 1
-    return cs
-
-
-def _theta_plan(k: int, order: int):
-    # the theta side of verify pentagonal (k = 1), verify jacobi and jacobi_specialization
-    return (order + 1, 0), lambda: _theta(k, order)
+def _theta(k: int, order: int):
+    # the terms of theta_k = 1 - T_k(1) - T_k(0), the sum over all integers j of
+    # (-1)^j q^(j(j+1)(2k+1)/2 - kj), up to q^order, read lazily by the plan they enter
+    tails = chain(_tail(k, 1, order), _tail(k, 0, order))
+    return chain([(0, 1)], ((e, -sign) for e, sign in tails))
 
 
 def schur_rhs(k: int, order: int) -> QSeries:
-    """Alternating-theta side: theta_k(q) / (q)_infinity, one division
-    by ``partition._divide_by_euler``.
+    """Alternating-theta side: theta_k(q) / (q)_infinity, the terms of
+    ``_theta`` through one division by ``partition._divide_by_euler``.
 
-    Priced and refused as ``p_table`` (so as ``inv_euler``), before the
-    theta sum is allocated.
+    Priced as ``p_table`` (so as ``inv_euler``), and refused past the same
+    order 69784 under its own name, before the theta sum is allocated.
     """
     _check_ints(k=k, order=order)
-    return _series(f"p_table to {order}", order, _schur_rhs(k, order))
+    return _series(f"schur_rhs to order {order}", order, _schur_rhs(k, order))
 
 
 def _schur_rhs(k: int, order: int):
     # the plan of schur_rhs, checked
     if k < 1:
         raise ValueError("k must be positive")
-    return _euler_price(order), lambda: _divide_by_euler(_theta(k, order))
+    return _over_euler(_theta(k, order), order)
 
 
 def rr_product(k: int, a_shift: int, order: int) -> QSeries:
@@ -685,7 +659,7 @@ def _jacobi(k: int, order: int):
     if k < 1:
         raise ValueError("k must be positive")
     factors = [range(c, order + 1, 2 * k + 1) for c in (k, k + 1, 2 * k + 1)]
-    return _theta_plan(k, order), _product(order, factors, False)
+    return _sparse(_theta(k, order), order), _product(order, factors, False)
 
 
 class VerificationReport(NamedTuple):
@@ -709,13 +683,12 @@ def _first_mismatch(lhs: list[int], rhs: list[int]) -> dict | None:
 def _closed_form_sides(order: int, k: int, m: int, r: int):
     if not ((m >= 0 and r >= 1) or (m == 0 and r == 0)):
         raise UnsupportedRegion("closed form requires m >= 0 and r >= 1, or m = r = 0")
-    closed_form = (_euler_price(order), lambda: _h_closed_form(k, m, r, order))
-    return _h_census(k, m, -r, "le", order), closed_form
+    return _h_census(k, m, -r, "le", order), _over_euler(_tail(k, r + k * m, order), order)
 
 
 # name -> (parameter names, sides(order, **params) -> the (price, run) plans of lhs and rhs)
 _IDENTITY_SIDES = {
-    "pentagonal": ((), lambda order: (_pochhammer(None, order), _theta_plan(1, order))),
+    "pentagonal": ((), lambda order: (_pochhammer(None, order), _sparse(_theta(1, order), order))),
     "schur": (("k",), lambda order, k: (_multisum(k, None, order), _schur_rhs(k, order))),
     "rr": (("k",), lambda order, k: (_multisum(k, None, order), _rr_product(k, k, order))),
     "andrews": (("k", "a"), lambda order, k, a: (_multisum(k, a, order), _rr_product(k, a, order))),

@@ -27,17 +27,21 @@ from durfee import (
     verify_identity,
 )
 from durfee.errors import ImpracticalOrder, UnknownIdentity, UnsupportedRegion
-from durfee.partition import _divide_by_euler, _euler_price
+from durfee.partition import _divide_by_euler, _euler_price, _over_euler, _sparse, _tail
 from durfee.qseries import (
     IDENTITIES,
     MAX_SERIES_COST,
     _first_mismatch,
-    _h_closed_form,
     _levels_plan,
     _mul,
     _passes_cost,
     _theta,
 )
+
+
+def built(plan):
+    # the coefficients a (price, run) plan builds, past any cap
+    return plan[1]()
 
 
 def geometric(order):
@@ -136,8 +140,9 @@ def test_kernel_outputs_are_what_the_constructor_builds():
         outputs = [pochhammer(None, order), pochhammer(3, order), inv_euler(order),
                    multisum_lhs(3, None, order), multisum_lhs(3, 2, order), schur_rhs(2, order),
                    rr_product(2, 1, order), *jacobi_specialization(2, order),
-                   QSeries._fromcoeffs(_h_closed_form(1, 0, 1, order), order),
-                   QSeries._fromcoeffs(_theta(2, order), order), a + b, a - b, -a, a * b]
+                   QSeries._fromcoeffs(built(_over_euler(_tail(1, 1, order), order)), order),
+                   QSeries._fromcoeffs(built(_sparse(_theta(2, order), order)), order),
+                   a + b, a - b, -a, a * b]
         for s in outputs:
             assert type(s.coeffs) is tuple and {type(c) for c in s.coeffs} == {int}
             assert len(s.coeffs) == s.order + 1
@@ -208,19 +213,29 @@ def test_multisum_cost_is_bounded_in_k():
     # and the cap for large k sits at 2354
     assert _levels_plan(10**9, lambda j, v: v * v, 0, 0, 2354)[1] <= MAX_SERIES_COST
     assert _levels_plan(10**9, lambda j, v: v * v, 0, 0, 2355)[1] > MAX_SERIES_COST
+    # past the cap the plan stops pricing, so its refusal names a lower bound:
+    # the full price of this one is 33,556,023 additions
+    with pytest.raises(ImpracticalOrder, match=r"^multisum k=1000000000 to order 3000 needs at "
+                       r"least 20000146 coefficient additions \(cap 20000000\); refusing$"):
+        multisum_lhs(10**9, None, 3000)
 
 
 def test_series_entry_points_refuse_huge_orders_at_once():
     # each prices its work before allocating anything: p(0..10^9) alone
-    # would be a 10^9-entry list built in O(N^1.5)
+    # would be a 10^9-entry list built in O(N^1.5); each refusal names its series
     big = 10**9
-    for call, args in ((p_table, (big,)), (inv_euler, (big,)), (pochhammer, (None, big)),
-                       (pochhammer, (0, big)), (rr_product, (2, 1, big)), (rr_product, (1, 1, big)),
-                       (jacobi_specialization, (2, big)), (jacobi_specialization, (10**7, 10**7)),
-                       (schur_rhs, (2, big)),
-                       (QSeries.zero, (big,)), (QSeries, ([1], big))):
+    for call, args, what in (
+            (p_table, (big,), "p_table to"), (inv_euler, (big,), "inv_euler to order"),
+            (pochhammer, (None, big), "pochhammer to order"),
+            (pochhammer, (0, big), "pochhammer to order"),
+            (rr_product, (2, 1, big), "rr_product to order"),
+            (rr_product, (1, 1, big), "rr_product to order"),
+            (jacobi_specialization, (2, big), "jacobi_specialization to order"),
+            (jacobi_specialization, (10**7, 10**7), "jacobi_specialization to order"),
+            (schur_rhs, (2, big), "schur_rhs to order"),
+            (QSeries.zero, (big,), "QSeries of order"), (QSeries, ([1], big), "QSeries of order")):
         t = time.perf_counter()
-        with pytest.raises(ImpracticalOrder):
+        with pytest.raises(ImpracticalOrder, match=f"^{what} {args[-1]} needs "):
             call(*args)
         assert time.perf_counter() - t < 0.1, (call.__name__, args)
     # the prices count the work exactly
@@ -234,6 +249,9 @@ def test_series_entry_points_refuse_huge_orders_at_once():
     # the caps of pochhammer(None, order) and p_table(N) sit here
     assert _passes_cost(6324, 1, 1, 6324) <= MAX_SERIES_COST < _passes_cost(6325, 1, 1, 6325)
     assert _euler_price(69784)[1] <= MAX_SERIES_COST < _euler_price(69785)[1]
+    # past the cap the terms g and g + j of each j are still priced as one step
+    # (one at a time, 69786 would read 20,000,248); the full price at 80000 is 24,554,070
+    assert [_euler_price(N) for N in (69786, 80000)] == [(69787, 20000590), (80001, 20023128)]
 
 
 # The largest order at which verify accepts, by identity and parameters:
@@ -254,6 +272,9 @@ VERIFY_CAPS = {
     ("h_closed_form", (1, 0, 1)): 644, ("h_closed_form", (2, 0, 1)): 732,
     ("h_closed_form", (3, 0, 1)): 793, ("h_closed_form", (5, 0, 1)): 872,
     ("h_closed_form", (10, 0, 1)): 999,
+    # m >= 1, where the tail T_k(r + km) of the closed form starts past T_k(r)
+    ("h_closed_form", (1, 1, 1)): 649, ("h_closed_form", (2, 1, 1)): 741,
+    ("h_closed_form", (3, 1, 1)): 804,
 }
 
 
@@ -302,7 +323,7 @@ def test_verify_boundary_calls():
     # one past the cap of rr k = 3 (6367): 8,413,532 + 11,589,760 additions,
     # over the cap although each side fits on its own.  At 6324 the pair
     # prices 19,729,308 additions since the level chains stop at what they keep
-    with pytest.raises(ImpracticalOrder, match="needs 20003292 coefficient additions"):
+    with pytest.raises(ImpracticalOrder, match="needs at least 20003292 coefficient additions"):
         verify_identity("rr", 6368, k=3)
     # an empty product and a one-level multisum make no additions, but
     # their 2 (order + 1) cells pass the cap
@@ -311,7 +332,7 @@ def test_verify_boundary_calls():
         verify_identity("rr", 19999998, k=1)
     assert time.perf_counter() - t < 0.1
     for name, params in (("pentagonal", {}), ("jacobi", {"k": 1})):
-        with pytest.raises(ImpracticalOrder, match="needs 20005975 coefficient additions"):
+        with pytest.raises(ImpracticalOrder, match="needs at least 20005975 coefficient additions"):
             verify_identity(name, 6325, **params)
     # jacobi_specialization prices its theta side with its product, as verify
     # jacobi does, and its refusal names both: the product alone is 10,000,001
@@ -322,7 +343,7 @@ def test_verify_boundary_calls():
         with pytest.raises(ImpracticalOrder, match=message):
             call()
     with pytest.raises(ImpracticalOrder, match=r"^jacobi_specialization to order 6325 needs "
-                       r"20005975 coefficient additions \(cap 20000000\); refusing$"):
+                       r"at least 20005975 coefficient additions \(cap 20000000\); refusing$"):
         jacobi_specialization(1, 6325)
     # a missing parameter is named before any price, at any order
     with pytest.raises(ValueError, match="needs parameter 'k'"):
@@ -452,7 +473,9 @@ def test_first_mismatch_structure():
     (q_table, (1, -1)), (h_census_series, (1, 0, 0, "le", -1)), (QSeries, ([1], -1)),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_negative_order_is_value_error(call, args):
-    with pytest.raises(ValueError):  # an IndexError would escape this and fail
+    # an IndexError would escape this and fail; each series names its own parameter
+    name = "N" if call is q_table else "order"
+    with pytest.raises(ValueError, match=f"^{name} must be non-negative$"):
         call(*args)
 
 
@@ -671,11 +694,40 @@ def test_blocked_division_matches_unblocked_recurrence():
             assert divided(num[: N + 1]) == _mul(num, p_table(N), N), N
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_theta_tail_terms(k):
+    # T_k(c) = sum_{j >= 1} (-1)^(j-1) q^(kj^2 + j(j-1)/2 + cj): every j with
+    # its exponent within the order, ascending, with alternating signs
+    for c in range(9):
+        for order in range(201):
+            want = [(k * j * j + j * (j - 1) // 2 + c * j, 1 if j % 2 else -1)
+                    for j in range(1, order + 1)]
+            assert list(_tail(k, c, order)) == [(e, s) for e, s in want if e <= order], (c, order)
+    # the closed form's tail at c = r + km has the exponents jr + j(j-1)/2 + k(jm + j^2)
+    for m in range(4):
+        for r in range(6):
+            want = [j * r + j * (j - 1) // 2 + k * (j * m + j * j) for j in range(1, 201)]
+            assert [e for e, _ in _tail(k, r + k * m, 200)] == [e for e in want if e <= 200]
+    for order in range(201):
+        # theta_k = 1 - T_k(1) - T_k(0) is Jacobi's sum over all integers j of
+        # (-1)^j q^(j(j+1)(2k+1)/2 - kj)
+        theta = [0] * (order + 1)
+        for j in range(-order - 1, order + 1):
+            if (e := j * (j + 1) * (2 * k + 1) // 2 - k * j) <= order:
+                theta[e] += -1 if j % 2 else 1
+        numerator = [1] + [0] * order
+        for e, sign in itertools.chain(_tail(k, 1, order), _tail(k, 0, order)):
+            numerator[e] -= sign
+        assert numerator == theta == built(_sparse(_theta(k, order), order)), order
+        if k == 1:  # (q)_inf = theta_1, so Euler's recurrence divides it to 1
+            assert _divide_by_euler(numerator) == [1] + [0] * order, order
+
+
 def test_euler_divisions_match_kronecker_products():
     # truncation commutes with both sides, so one order-300 product checks
     # every lower order
     for k in range(1, 7):
-        want = (inv_euler(300) * QSeries(_theta(k, 300))).coeffs
+        want = (inv_euler(300) * QSeries(built(_sparse(_theta(k, 300), 300)))).coeffs
         for T in range(301):
             assert schur_rhs(k, T).coeffs == want[: T + 1], (k, T)
     for k in (1, 2, 3):
@@ -688,4 +740,5 @@ def test_euler_divisions_match_kronecker_products():
                         sparse[e] += 1 if j % 2 else -1
                         j += 1
                     want = inv_euler(T) * QSeries(sparse, T)
-                    assert _h_closed_form(k, m, r, T) == list(want.coeffs), (k, m, r, T)
+                    closed_form = built(_over_euler(_tail(k, r + k * m, T), T))
+                    assert closed_form == list(want.coeffs), (k, m, r, T)
