@@ -10,6 +10,7 @@ a process ended by SIGPIPE).  Domain errors print
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -318,6 +319,10 @@ def console_main() -> None:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         code = PIPE_EXIT
+    # every object alive now goes to the permanent generation, so that the
+    # collections at interpreter exit have nothing to traverse or tear down;
+    # atexit handlers and the flush of stdout and stderr still run
+    gc.freeze()
     sys.exit(code)
 
 

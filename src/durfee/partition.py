@@ -324,15 +324,15 @@ def _divide_by_euler(cs: list[int]) -> list[int]:
     >= 64 reads only coefficients finished before the block, so it goes
     into the whole block (from n = g on) as one slice addition.  The twelve
     g < 64 (1, 2, 5, 7, 12, 15, 22, 26, 35, 40, 51, 57) are one
-    straight-line sum per n >= 57; below that a loop takes the g <= n.
-    Each term is one addition, so ``_euler_price(len(cs) - 1)`` counts
-    them exactly.  Returns cs.
+    straight-line sum per n, over the coefficients with 57 zeros in front,
+    so that an n < 57 reads a zero for each g > n.  Each term is one
+    addition, so ``_euler_price(len(cs) - 1)`` counts them, plus at most
+    273 additions of zero (the sum of the twelve g).  Returns cs.
     """
     size = len(cs)
     terms = sorted(chain(_tail(1, 0, size - 1), _tail(1, 1, size - 1)))
-    for n in range(min(size, 57)):  # the g <= n of the twelve g < 64, one at a time
-        cs[n] = sum((sign * cs[n - g] for g, sign in terms[:12] if g <= n), cs[n])
     far = [(g, add if sign > 0 else sub) for g, sign in terms if g >= _BLOCK]
+    c = [0] * 57 + cs  # coefficient n at c[n + 57]; cs keeps the numerator until the end
     for b in range(0, size, _BLOCK):
         end = min(b + _BLOCK, size)
         block = cs[b:end]
@@ -340,11 +340,12 @@ def _divide_by_euler(cs: list[int]) -> list[int]:
             if g >= end:
                 break
             lo = max(b, g)
-            block[lo - b :] = map(op, block[lo - b :], cs[lo - g : end - g])
-        for n in range(max(b, 57), end):
-            cs[n] = (block[n - b] + cs[n - 1] + cs[n - 2] - cs[n - 5] - cs[n - 7] + cs[n - 12]
-                     + cs[n - 15] - cs[n - 22] - cs[n - 26] + cs[n - 35] + cs[n - 40]
-                     - cs[n - 51] - cs[n - 57])
+            block[lo - b :] = map(op, block[lo - b :], c[lo - g + 57 : end - g + 57])
+        for n, x in enumerate(block, b + 57):
+            c[n] = (x + c[n - 1] + c[n - 2] - c[n - 5] - c[n - 7] + c[n - 12]
+                    + c[n - 15] - c[n - 22] - c[n - 26] + c[n - 35] + c[n - 40]
+                    - c[n - 51] - c[n - 57])
+    cs[:] = c[57:]
     return cs
 
 

@@ -562,6 +562,8 @@ def h_count(n: int, k: int, m: int, r: int, mode: str) -> int:
         _check_ints(n=n, k=k, m=m, r=r)
     if mode not in ("le", "ge", "eq"):
         raise ValueError(f"mode must be 'le', 'ge' or 'eq', got {mode!r}")
+    if k < 1:
+        raise ValueError("k must be positive")
     if n < 0:
         return 0
     return _h(_rank_row(n, k, m), r, mode)

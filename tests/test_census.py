@@ -46,6 +46,10 @@ def test_h_count_modes():
         h_count(4, 1, 0, 0, "between")
     with pytest.raises(ValueError):  # mode is checked before the n < 0 shortcut
         h_count(-1, 1, 0, 0, "bogus")
+    for n in (-1, 0, 3):  # and so is k, whatever n is
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be positive"):
+                h_count(n, k, 0, 0, "le")
 
 
 def test_census_json_shape():

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import gc
 import io
 import json
 import os
@@ -211,6 +212,33 @@ def test_cli_import_leaves_selftest_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_console_exit_freezes_what_is_alive(capsys):
+    # a durfee process freezes every live object before it exits, so the
+    # collections at interpreter exit have nothing to tear down; atexit
+    # handlers still run, and the output and exit code are those of main
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = (
+        "import atexit, gc, sys; from durfee.cli import console_main; "
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr)); "
+        "sys.argv[0] = 'durfee'; console_main()"
+    )
+    for argv, want_code in ((["decompose", "5,4"], 0), (["decompose", "1,x"], cli.USAGE_EXIT),
+                            (["decompose", "--k", "3", "1"], cli.DOMAIN_EXIT)):
+        frozen = gc.get_freeze_count()
+        code, out, err = run(capsys, *argv)
+        assert gc.get_freeze_count() == frozen, argv  # main itself freezes nothing
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == code == want_code, (argv, proc.stderr)
+        assert proc.stdout == out, argv
+        *lines, last = proc.stderr.splitlines(keepends=True)
+        assert "".join(lines) == err, argv
+        word, count = last.split()
+        assert word == "frozen" and int(count) > 0, (argv, last)
 
 
 def test_import_graph_is_acyclic():

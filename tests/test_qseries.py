@@ -679,8 +679,9 @@ def divided(cs):
 
 
 def test_blocked_division_matches_unblocked_recurrence():
-    # every length up to 301 takes in the block edges 63-65 and 127-129 and
-    # n = 57, where the straight-line sum over the g < 64 takes over
+    # every length up to 301 takes in the block edges 63-65 and 127-129, and
+    # every n < 57, where the straight-line sum over the g < 64 reads some of
+    # the 57 zeros put in front of the coefficients
     want = unblocked_division([1] + [0] * 300)
     for N in range(301):
         assert divided([1] + [0] * N) == want[: N + 1], N
