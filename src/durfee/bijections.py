@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from .decomposition import _compose_raw, _decompose_raw, _gaps
 from .errors import (
-    ImpracticalOrder,
     InsertionUnderflow,
     InternalInvariantViolation,
     InvalidDecomposition,
@@ -26,7 +25,7 @@ from .errors import (
     RankTooSmall,
     ZeroWidthRectangle,
 )
-from .partition import MAX_PARTS, Partition, _check_ints, _conjugate_parts
+from .partition import Partition, _check_ints, _conjugate_parts, _refuse_parts
 from .rank import _rank_raw, dyson_rank
 from .select_insert import (
     _check_bounds,
@@ -151,12 +150,8 @@ def gen_dyson_inverse(mu: Partition, k: int, m: int, r: int) -> Partition:
     t = a + r
     # every rectangle of the preimage has positive width, so it adds all its
     # w + 1 + m rows; the t rows below follow
-    n_parts = sum(widths) + k * (m + 1) + t
-    if n_parts > MAX_PARTS:
-        raise ImpracticalOrder(
-            f"preimage of {mu.text()} under k={k}, m={m}, r={r} would have "
-            f"{n_parts} parts (cap {MAX_PARTS}); refusing"
-        )
+    _refuse_parts(sum(widths) + k * (m + 1) + t,
+                  lambda: f"preimage of {mu.text()} under k={k}, m={m}, r={r}")
 
     def where():
         return f"{mu.text()}, k={k}, m={m}, r={r}"

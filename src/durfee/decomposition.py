@@ -31,12 +31,11 @@ from operator import lt, sub
 from typing import NamedTuple
 
 from .errors import (
-    ImpracticalOrder,
     InternalInvariantViolation,
     InvalidDecomposition,
     NoSuchDecomposition,
 )
-from .partition import MAX_PARTS, Partition, _check_ints, _parts_text
+from .partition import Partition, _check_ints, _parts_text, _refuse_parts
 
 
 class DurfeeDecomposition(NamedTuple):
@@ -82,7 +81,7 @@ def decompose(lam: Partition, k: int, m: int) -> DurfeeDecomposition:
 
     Rows o_{i-1}+1 .. o_i lose N_i cells each and become lambda^i (zero
     rows dropped); the rows below o_k become alpha.  For m > 0 every
-    partition (including the empty one) decomposes, and k > MAX_PARTS
+    partition (including the empty one) decomposes, and a k past MAX_PARTS
     raises ImpracticalOrder before any rectangle is taken; for m <= 0 a
     partition may run out of rectangles of positive height.
     """
@@ -97,7 +96,8 @@ def _decompose_raw(ps: tuple[int, ...], k: int, m: int):
         _check_ints(k=k, m=m)
     if k < 1:
         raise ValueError("k must be positive")
-    _refuse_many_widths(k, m)
+    if m >= 1:  # every partition has k rectangles here, so the walk and its output are O(k)
+        _refuse_parts(k, "a decomposition into {} {}-Durfee rectangles".format, k, m, unit="widths")
     ell = len(ps)
     widths = []
     sides = []
@@ -155,15 +155,6 @@ def _decompose_raw(ps: tuple[int, ...], k: int, m: int):
     return tuple(widths), tuple(sides), below
 
 
-def _refuse_many_widths(k: int, m: int) -> None:
-    if m >= 1 and k > MAX_PARTS:
-        # every partition has k rectangles here, so the walk and its output are O(k)
-        raise ImpracticalOrder(
-            f"a decomposition into k = {k} {m}-Durfee rectangles would list {k} widths "
-            f"(cap {MAX_PARTS}); refusing"
-        )
-
-
 def compose(d: DurfeeDecomposition) -> Partition:
     """Reassemble a partition from a decomposition; inverse of decompose.
 
@@ -181,11 +172,7 @@ def _compose_raw(m, k, widths, sides, below) -> tuple[int, ...]:
     _validate(m, k, widths, sides, below)
     # a width-0 rectangle adds only its side's rows, whatever m
     heights = [w + m if w else len(side) for w, side in zip(widths, sides)]
-    parts = sum(heights) + len(below)
-    if parts > MAX_PARTS:
-        raise ImpracticalOrder(
-            f"composed partition would have {parts} parts (cap {MAX_PARTS}); refusing"
-        )
+    _refuse_parts(sum(heights) + len(below), "composed partition".format)
     rows = []
     for w, side, height in zip(widths, sides, heights):
         if w:
@@ -197,7 +184,8 @@ def _compose_raw(m, k, widths, sides, below) -> tuple[int, ...]:
     if any(map(lt, rows, rows[1:])):
         raise InvalidDecomposition("assembled rows are not weakly decreasing")
     rows = tuple(rows)
-    _refuse_many_widths(k, m)
+    if m >= 1:  # as in decompose, which the maximality check stands for
+        _refuse_parts(k, "a decomposition into {} {}-Durfee rectangles".format, k, m, unit="widths")
     if not _widths_maximal(rows, m, widths):
         redo = _decompose_raw(rows, k, m)[0]
         raise InvalidDecomposition(

@@ -56,13 +56,13 @@ class ImpracticalOrder(DurfeeError):
     its coefficient additions, passes ``partition.MAX_SERIES_COST`` in
     either, by ``partition._build``, which builds every series and sums the
     two sides of ``verify_identity`` and ``jacobi_specialization``; and by
-    ``insert``, priced by its bounds.  Raised before any part is built when
-    a partition would have more than ``partition.MAX_PARTS`` parts: by
-    ``Partition.conjugate`` (so also by ``gen_conjugate`` and
-    ``garvan_conjugate``), by ``compose`` and by ``gen_dyson_inverse``; and
-    when a decomposition with m >= 1 would have more than that many
-    rectangles: by ``decompose`` (so also by ``rank_km``, ``gen_dyson`` and
-    ``gen_dyson_inverse``).
+    ``insert``, priced by its bounds.  Raised by ``partition._refuse_parts``
+    before anything is built when an output would pass ``partition.MAX_PARTS``
+    entries: the parts of ``Partition.conjugate`` (so of ``gen_conjugate``
+    and ``garvan_conjugate``), ``compose`` and ``gen_dyson_inverse``; the
+    widths of a decomposition with m >= 1 (``decompose``, ``compose``,
+    ``rank_km``, ``gen_dyson``, ``gen_dyson_inverse``); the totals of
+    ``iterate_remove``; and the partitions of ``partitions_of``.
     """
 
 

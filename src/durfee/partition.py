@@ -10,10 +10,10 @@ from typing import Iterator
 from .errors import EmptyPartition, ImpracticalOrder
 
 # Largest partition a map builds, in parts (about 2 s as a CLI call on a
-# 2-core VM).  Conjugation, compose and gen_dyson_inverse count the parts
-# of their output before building any of it, and past the budget refuse
-# with ImpracticalOrder.  The same budget caps k for a decomposition with
-# m >= 1, where every partition has k rectangles.
+# 2-core VM).  _refuse_parts holds every output the library lists to it: the
+# parts of a conjugate, a composed partition or a gen_dyson_inverse preimage,
+# the widths of a decomposition with m >= 1, the totals of iterate_remove
+# and the partitions of partitions_of.
 MAX_PARTS = 1_000_000
 
 # Largest series computation accepted.  Every series kernel prices its plan
@@ -40,6 +40,14 @@ def _build(what: str, *plans) -> list:
                    else f"at least {additions} coefficient additions")
         raise ImpracticalOrder(f"{what} needs {measure} (cap {MAX_SERIES_COST}); refusing")
     return [run() for _, run in plans]
+
+
+def _refuse_parts(count: int, what, *args, unit: str = "parts") -> None:
+    # the parts budget, as _build is the series cap: ImpracticalOrder before anything is built
+    # when count entries would pass MAX_PARTS; what(*args) names the output, called only to
+    # refuse (a closure would turn the caller's locals it reads into slower cell variables)
+    if count > MAX_PARTS:
+        raise ImpracticalOrder(f"{what(*args)} would have {count} {unit} (cap {MAX_PARTS}); refusing")
 
 
 def _check_ints(optional=(), **args) -> None:
@@ -184,11 +192,7 @@ def _conjugate_parts(ps: tuple[int, ...]) -> tuple[int, ...]:
     """``Partition.conjugate`` on a part tuple, with the same MAX_PARTS refusal."""
     if not ps:
         return ()
-    if ps[0] > MAX_PARTS:
-        raise ImpracticalOrder(
-            f"conjugate of a partition with largest part {ps[0]} would have "
-            f"{ps[0]} parts (cap {MAX_PARTS}); refusing"
-        )
+    _refuse_parts(ps[0], "conjugate of a partition with largest part {}".format, ps[0])
     out = []
     j = len(ps) - 1
     for c in range(1, ps[0] + 1):
@@ -240,18 +244,26 @@ def _iter_partition_tuples(n: int) -> Iterator[tuple[int, ...]]:
 
 @lru_cache(maxsize=8)
 def _partition_tuples(n: int) -> tuple[tuple[int, ...], ...]:
-    if n < 0:
-        raise ValueError("n must be non-negative")
     return tuple(_iter_partition_tuples(n))
 
 
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n as a tuple (reverse-lexicographic).
 
-    Raises ValueError for negative n.
+    Raises ValueError for negative n.  Past MAX_PARTS partitions (from
+    n = 61 on: p(60) = 966467, p(61) = 1121505) it raises ImpracticalOrder
+    before any is built; ``enumerate_partitions`` streams them instead.
     """
     if type(n) is not int:  # as in enumerate_partitions; the cache would read True as 1
         _check_ints(n=n)
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    # p rises with n, and the 2^s sets of distinct parts in 2..s+1, filled up with 1s, give
+    # p(n) >= 2^s, past MAX_PARTS, for every n >= s(s+3)/2: a small table prices any n
+    s = MAX_PARTS.bit_length()
+    top = min(n, s * (s + 3) // 2)
+    more = "" if n == top else " or more"
+    _refuse_parts(p_table(top)[-1], "partitions_of({})".format, n, unit="partitions" + more)
     return tuple(Partition._fromparts(t) for t in _partition_tuples(n))
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import ImpracticalOrder, InsertionUnderflow, InternalInvariantViolation
-from .partition import MAX_SERIES_COST, Partition, _check_ints
+from .partition import MAX_SERIES_COST, Partition, _check_ints, _refuse_parts
 
 
 class PartitionSequence:
@@ -80,10 +80,6 @@ class PartitionSequence:
     @property
     def k(self) -> int:
         return len(self.partitions)
-
-    @property
-    def total_size(self) -> int:
-        return sum(p.size for p in self.partitions)
 
     def part_tuples(self) -> tuple[tuple[int, ...], ...]:
         return tuple(p.parts for p in self.partitions)
@@ -210,15 +206,20 @@ def _remove_iterated(work, bounds, t, where):
     """``iterate_remove`` on a list of part lists, in place: the removed totals.
 
     After each removal the O(k) bound check runs; ``where()`` names the
-    input in the InternalInvariantViolation it raises.
+    input in the InternalInvariantViolation it raises.  A total of 0 means
+    every selected row was virtual, so nothing changes from there on: the
+    walks stop, and the totals are padded with zeros to t.
     """
     totals = []
     for _ in range(t):
         rows, parts = _select_raw(work, bounds)
+        total = sum(parts)
+        if not total:
+            break
         _remove_rows(work, rows)
         _check_bounds(work, bounds, where)
-        totals.append(sum(parts))
-    return totals
+        totals.append(total)
+    return totals + [0] * (t - len(totals))
 
 
 def _check_bounds(seqs, bounds, where):
@@ -299,12 +300,14 @@ def iterate_remove(
     """Apply remove_selected t times; returns the removed totals and residue.
 
     The totals are weakly decreasing: each removal only exposes rows at or
-    below the previously selected ones.
+    below the previously selected ones.  A t past ``partition.MAX_PARTS``
+    raises ImpracticalOrder before any walk.
     """
     if type(t) is not int:  # as in insert
         _check_ints(t=t)
     if t < 0:
         raise ValueError("t must be non-negative")
+    _refuse_parts(t, "iterate_remove with t = {}".format, t, unit="totals")
     work = [list(p.parts) for p in seq.partitions]
     totals = _remove_iterated(work, seq.bounds, t, lambda: repr(seq))
     return tuple(totals), PartitionSequence(

@@ -25,6 +25,7 @@ from durfee import (
 )
 from durfee.decomposition import decompose
 from durfee.errors import EmptyPartition, ImpracticalOrder, NoSuchDecomposition
+from durfee import partition
 from durfee.partition import MAX_PARTS, _partition_tuples
 
 partitions = st.lists(st.integers(1, 12), max_size=10).map(
@@ -141,6 +142,23 @@ def test_enumerate_is_lazy():
     assert next(enumerate_partitions(200)).parts == (200,)
     assert time.perf_counter() - t < 0.1
     assert _partition_tuples.cache_info().currsize == before
+
+
+def test_partitions_of_refuses_past_the_parts_budget(monkeypatch):
+    # priced by p(n) before any partition is built: p(60) = 966467 fits the
+    # budget and p(61) = 1121505 does not, pinned here without building
+    # partitions_of(60); a huge n is priced off a small table
+    pt = p_table(61)
+    assert pt[60] <= MAX_PARTS < pt[61]
+    monkeypatch.setattr(partition, "_partition_tuples", lambda n: ())
+    assert partitions_of(60) == ()
+    with pytest.raises(ImpracticalOrder, match=r"^partitions_of\(61\) would have 1121505 partitions "):
+        partitions_of(61)
+    t = time.perf_counter()
+    for n in (62, 10**12, 10**18):
+        with pytest.raises(ImpracticalOrder, match=rf"^partitions_of\({n}\) would have"):
+            partitions_of(n)
+    assert time.perf_counter() - t < 0.1
 
 
 def test_negative_n_rejected():

@@ -11,11 +11,13 @@ from durfee import (
     gen_conjugate,
     insert,
     iterate_remove,
+    partitions_of,
     profile,
     remove_selected,
     select,
 )
-from durfee.errors import ImpracticalOrder, InsertionUnderflow
+from durfee.errors import ImpracticalOrder, InsertionUnderflow, NoSuchDecomposition
+from durfee.partition import MAX_PARTS
 
 P = Partition
 
@@ -104,6 +106,40 @@ def test_iterate_remove_totals():
     totals0, same = iterate_remove(seq([[2, 1], []], [1]), 0)
     assert totals0 == ()
     assert same.partitions == (P([2, 1]), P([]))
+
+
+def test_iterate_remove_stops_at_the_first_zero_total():
+    # past the first zero total every selected row is virtual, so the walks stop
+    # and the totals are padded: t = 10^6 answers at once, t past the budget is refused
+    s = seq([[4, 3, 3, 1], [2, 1]], [3])
+    t0 = time.perf_counter()
+    totals, rest = iterate_remove(s, 10**6)
+    assert time.perf_counter() - t0 < 0.1
+    assert totals == (5, 2) + (0,) * (10**6 - 2)
+    assert rest == seq([[4, 3], []], [3])
+    for t in (MAX_PARTS + 1, 10**12):
+        t0 = time.perf_counter()
+        with pytest.raises(ImpracticalOrder, match=f"^iterate_remove with t = {t} would have"):
+            iterate_remove(s, t)
+        assert time.perf_counter() - t0 < 0.1
+
+
+def test_iterate_remove_matches_unit_removals():
+    # one remove_selected per step, zero totals included, gives the same totals
+    # and residue on the sides of every decomposition generalized conjugation strips
+    for n in range(23):
+        for lam in partitions_of(n):
+            for k in range(1, 5):
+                try:
+                    d = decompose(lam, k, 0)
+                except NoSuchDecomposition:
+                    break
+                start = PartitionSequence(d.sides, profile(d))
+                totals, rest = [], start
+                for _ in range(d.widths[-1] + 2):
+                    trace, rest = remove_selected(rest)
+                    totals.append(trace.total)
+                assert iterate_remove(start, len(totals)) == (tuple(totals), rest)
 
 
 def test_iterate_remove_matches_conjugation_columns():
