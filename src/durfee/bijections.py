@@ -69,7 +69,7 @@ def gen_conjugate(lam: Partition, k: int) -> Partition:
         return f"{lam.text()}, k={k}, m=0"
 
     work = list(map(list, sides))
-    totals = _remove_iterated(work, bounds, n_k, where)
+    nu = _remove_iterated(work, bounds, n_k, where)
     alpha_cols = _conjugate_parts(below)
     for j in range(n_k, 0, -1):
         col = alpha_cols[j - 1] if j <= len(alpha_cols) else 0
@@ -81,7 +81,7 @@ def gen_conjugate(lam: Partition, k: int) -> Partition:
             ) from None
         _check_bounds(work, bounds, where)
 
-    new_below = _conjugate_parts(tuple([t for t in totals if t > 0]))
+    new_below = _conjugate_parts(tuple(nu))
     new_sides = tuple(map(tuple, work))
     return Partition._fromparts(_compose_raw(0, k, widths, new_sides, new_below))
 

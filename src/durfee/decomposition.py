@@ -35,7 +35,7 @@ from .errors import (
     InvalidDecomposition,
     NoSuchDecomposition,
 )
-from .partition import Partition, _check_ints, _parts_text, _refuse_parts
+from .partition import _EMPTY, Partition, _check_ints, _parts_text, _refuse_parts
 
 
 class DurfeeDecomposition(NamedTuple):
@@ -48,16 +48,6 @@ class DurfeeDecomposition(NamedTuple):
     def to_json_dict(self) -> dict:
         sides = [s.parts for s in self.sides]
         return _decomposition_json(self.m, self.k, self.widths, sides, self.below.parts)
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "DurfeeDecomposition":
-        return cls(
-            m=int(d["m"]),
-            k=int(d["k"]),
-            widths=tuple(int(w) for w in d["widths"]),
-            sides=tuple(Partition.from_text(s) for s in d["sides"]),
-            below=Partition.from_text(d["below"]),
-        )
 
 
 def _decomposition_json(m, k, widths, sides, below) -> dict:
@@ -87,7 +77,10 @@ def decompose(lam: Partition, k: int, m: int) -> DurfeeDecomposition:
     """
     widths, sides, below = _decompose_raw(lam.parts, k, m)
     fp = Partition._fromparts
-    return DurfeeDecomposition(m, k, widths, tuple(map(fp, sides)), fp(below))
+    # every side past the first zero-width rectangle is empty (see _decompose_raw)
+    live = min(k, k - widths.count(0) + 1)
+    sides = tuple(map(fp, sides[:live])) + (_EMPTY,) * (k - live)
+    return DurfeeDecomposition(m, k, widths, sides, fp(below))
 
 
 def _decompose_raw(ps: tuple[int, ...], k: int, m: int):
@@ -96,7 +89,7 @@ def _decompose_raw(ps: tuple[int, ...], k: int, m: int):
         _check_ints(k=k, m=m)
     if k < 1:
         raise ValueError("k must be positive")
-    if m >= 1:  # every partition has k rectangles here, so the walk and its output are O(k)
+    if m >= 1:  # every partition has k rectangles here, so the output is O(k)
         _refuse_parts(k, "a decomposition into {} {}-Durfee rectangles".format, k, m, unit="widths")
     ell = len(ps)
     widths = []
@@ -119,19 +112,17 @@ def _decompose_raw(ps: tuple[int, ...], k: int, m: int):
         start = off
         off += w + m
         widths.append(w)
-        # rows past the last part must lie in width-0 rectangles and add
-        # nothing, so the walk over all rectangles is O(ell) whatever m
+        if not w:
+            # a zero width (so m >= 1) means row start + m + 1 is past the last
+            # part: this rectangle takes every row left, and every later one is empty
+            sides.append(ps[start:])
+            break
         end = off
         if end > ell:
-            if w:
-                raise InternalInvariantViolation(
-                    f"rectangle {i + 1} of width {w} runs past the last part: "
-                    f"{_parts_text(ps)}, k={k}, m={m}"
-                )
-            end = ell
-        if not w:
-            sides.append(ps[start:end])
-            continue
+            raise InternalInvariantViolation(
+                f"rectangle {i + 1} of width {w} runs past the last part: "
+                f"{_parts_text(ps)}, k={k}, m={m}"
+            )
         if start < end and ps[end - 1] < w:
             j = next(j for j in range(start + 1, end + 1) if ps[j - 1] < w)
             raise InternalInvariantViolation(
@@ -141,7 +132,7 @@ def _decompose_raw(ps: tuple[int, ...], k: int, m: int):
         sides.append(tuple([x - w for x in ps[start:end] if x > w]))
     below = ps[off:]
     # bound checks: guaranteed by maximality of the greedy widths
-    for i in range(1, k):
+    for i in range(1, len(sides)):
         side = sides[i]
         if side and side[0] > widths[i - 1] - widths[i]:
             raise InternalInvariantViolation(
@@ -152,7 +143,8 @@ def _decompose_raw(ps: tuple[int, ...], k: int, m: int):
         raise InternalInvariantViolation(
             f"below-partition wider than last rectangle: {_parts_text(ps)}, k={k}, m={m}"
         )
-    return tuple(widths), tuple(sides), below
+    rest = k - len(widths)
+    return tuple(widths) + (0,) * rest, tuple(sides) + ((),) * rest, below
 
 
 def compose(d: DurfeeDecomposition) -> Partition:

@@ -61,8 +61,8 @@ class ImpracticalOrder(DurfeeError):
     entries: the parts of ``Partition.conjugate`` (so of ``gen_conjugate``
     and ``garvan_conjugate``), ``compose`` and ``gen_dyson_inverse``; the
     widths of a decomposition with m >= 1 (``decompose``, ``compose``,
-    ``rank_km``, ``gen_dyson``, ``gen_dyson_inverse``); the totals of
-    ``iterate_remove``; and the partitions of ``partitions_of``.
+    ``rank_km``, ``gen_dyson``, ``gen_dyson_inverse``); and the partitions
+    of ``partitions_of``.
     """
 
 

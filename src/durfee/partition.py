@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import chain, zip_longest
 from operator import add, lt, sub
 from typing import Iterator
@@ -12,8 +11,8 @@ from .errors import EmptyPartition, ImpracticalOrder
 # Largest partition a map builds, in parts (about 2 s as a CLI call on a
 # 2-core VM).  _refuse_parts holds every output the library lists to it: the
 # parts of a conjugate, a composed partition or a gen_dyson_inverse preimage,
-# the widths of a decomposition with m >= 1, the totals of iterate_remove
-# and the partitions of partitions_of.
+# the widths of a decomposition with m >= 1 and the partitions of
+# partitions_of.
 MAX_PARTS = 1_000_000
 
 # Largest series computation accepted.  Every series kernel prices its plan
@@ -242,11 +241,6 @@ def _iter_partition_tuples(n: int) -> Iterator[tuple[int, ...]]:
         yield r
 
 
-@lru_cache(maxsize=8)
-def _partition_tuples(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(_iter_partition_tuples(n))
-
-
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n as a tuple (reverse-lexicographic).
 
@@ -254,7 +248,7 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     n = 61 on: p(60) = 966467, p(61) = 1121505) it raises ImpracticalOrder
     before any is built; ``enumerate_partitions`` streams them instead.
     """
-    if type(n) is not int:  # as in enumerate_partitions; the cache would read True as 1
+    if type(n) is not int:  # as in enumerate_partitions
         _check_ints(n=n)
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -264,7 +258,7 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     top = min(n, s * (s + 3) // 2)
     more = "" if n == top else " or more"
     _refuse_parts(p_table(top)[-1], "partitions_of({})".format, n, unit="partitions" + more)
-    return tuple(Partition._fromparts(t) for t in _partition_tuples(n))
+    return tuple(map(Partition._fromparts, _iter_partition_tuples(n)))
 
 
 def p_table(N: int) -> list[int]:

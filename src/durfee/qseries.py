@@ -436,8 +436,6 @@ def _unpack_row(row: int, slots: int, words: int) -> tuple[int, ...]:
     # the slots of words 64-bit words each, lowest first, as integers
     n = words * slots
     ws = struct.unpack(f"<{n}Q", row.to_bytes(8 * n, "little"))
-    if words == 1:
-        return ws
     cells = ws[::words]
     for j in range(1, words):
         cells = [w << 64 * j | c if w else c for c, w in zip(cells, ws[j::words])]

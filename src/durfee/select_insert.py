@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import ImpracticalOrder, InsertionUnderflow, InternalInvariantViolation
-from .partition import MAX_SERIES_COST, Partition, _check_ints, _refuse_parts
+from .partition import MAX_SERIES_COST, Partition, _check_ints
 
 
 class PartitionSequence:
@@ -203,12 +203,13 @@ def _insert_raw(a, seqs, bounds, selected=None):
 
 
 def _remove_iterated(work, bounds, t, where):
-    """``iterate_remove`` on a list of part lists, in place: the removed totals.
+    """``iterate_remove`` on a list of part lists, in place: the nonzero removed totals.
 
     After each removal the O(k) bound check runs; ``where()`` names the
     input in the InternalInvariantViolation it raises.  A total of 0 means
     every selected row was virtual, so nothing changes from there on: the
-    walks stop, and the totals are padded with zeros to t.
+    walks stop.  Each nonzero total deletes at least one part, so there are
+    at most as many walks and totals as parts, whatever t.
     """
     totals = []
     for _ in range(t):
@@ -219,7 +220,7 @@ def _remove_iterated(work, bounds, t, where):
         _remove_rows(work, rows)
         _check_bounds(work, bounds, where)
         totals.append(total)
-    return totals + [0] * (t - len(totals))
+    return totals
 
 
 def _check_bounds(seqs, bounds, where):
@@ -297,19 +298,20 @@ def insert(a: int, seq: PartitionSequence) -> PartitionSequence:
 def iterate_remove(
     seq: PartitionSequence, t: int
 ) -> tuple[tuple[int, ...], PartitionSequence]:
-    """Apply remove_selected t times; returns the removed totals and residue.
+    """Apply remove_selected t times; returns nu and the residue.
 
-    The totals are weakly decreasing: each removal only exposes rows at or
-    below the previously selected ones.  A t past ``partition.MAX_PARTS``
-    raises ImpracticalOrder before any walk.
+    nu is the partition of the nonzero removed totals: they are weakly
+    decreasing, since each removal only exposes rows at or below the
+    previously selected ones, and once a total is 0 every later one is.
+    Each nonzero total deletes a part, so nu and the walks are bounded by
+    the input's parts for every t.
     """
     if type(t) is not int:  # as in insert
         _check_ints(t=t)
     if t < 0:
         raise ValueError("t must be non-negative")
-    _refuse_parts(t, "iterate_remove with t = {}".format, t, unit="totals")
     work = [list(p.parts) for p in seq.partitions]
-    totals = _remove_iterated(work, seq.bounds, t, lambda: repr(seq))
-    return tuple(totals), PartitionSequence(
+    nu = _remove_iterated(work, seq.bounds, t, lambda: repr(seq))
+    return tuple(nu), PartitionSequence(
         tuple(Partition._fromparts(tuple(s)) for s in work), seq.bounds
     )

@@ -17,6 +17,7 @@ from .decomposition import DurfeeDecomposition, _widths_maximal, compose, decomp
 from .errors import NoSuchDecomposition
 from .partition import (
     Partition,
+    _iter_partition_tuples,
     durfee_square_widths,
     p_table,
     partitions_of,
@@ -448,7 +449,7 @@ def selection_invariants(max_total: int = 16, extra: int = 10) -> list[CheckResu
 def _bounded_sequences(k: int, bounds, max_total: int):
     # partitions come in reverse-lexicographic order, and filtering on the
     # largest part keeps that order for the capped lists
-    free = [[p.parts for p in partitions_of(s)] for s in range(max_total + 1)]
+    free = [list(_iter_partition_tuples(s)) for s in range(max_total + 1)]
     capped = {b: [[t for t in ts if not t or t[0] <= b] for ts in free] for b in set(bounds)}
 
     def rec(i: int, budget: int, acc: tuple):

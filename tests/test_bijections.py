@@ -126,11 +126,11 @@ def _sequence(d):
 def _conjugate_reference(lam, k):
     d = decompose(lam, k, 0)
     n_k = d.widths[-1]
-    totals, seq = iterate_remove(_sequence(d), n_k)
+    nu, seq = iterate_remove(_sequence(d), n_k)
     cols = d.below.conjugate().parts
     for j in range(n_k, 0, -1):
         seq = insert(cols[j - 1] if j <= len(cols) else 0, seq)
-    new_below = P([t for t in totals if t]).conjugate()
+    new_below = P(nu).conjugate()
     return compose(DurfeeDecomposition(0, k, d.widths, seq.partitions, new_below))
 
 

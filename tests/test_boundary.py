@@ -57,8 +57,9 @@ from durfee.errors import DurfeeError
 
 # the CLI fuzz's extremes: k = 10^5 and 10^12, m, r and parts up to 10^12,
 # census n up to 10^18, verify order 10^8.  At m >= 1 a k of 10^5 is an
-# accepted output of 10^5 widths, O(k) under the parts budget, so k is 10^12
-# there and the refusal is what is timed
+# accepted output of 10^5 widths, under the parts budget: the decomposition
+# stops at its last row and fills the empty rectangles in one step, so both
+# sides of the budget are timed, k = 10^5 (the last cases) and k = 10^12
 KMAX, BIG, HUGE = 10**5, 10**12, 10**18
 LAM = Partition([5, 4])
 WIDE = Partition([BIG, 1])
@@ -171,6 +172,9 @@ CALLS = [
     *(case(verify_identity, name, 10**8, k=KMAX, a=8, m=BIG, r=-BIG) for name in IDENTITIES),
     *(case(verify_identity, name, HUGE, k=BIG, a=1, m=1, r=1) for name in IDENTITIES),
     case(verify_identity, "h_closed_form", 40, k=KMAX, m=BIG, r=BIG),
+    # the accepted side of the m >= 1 budget, after the rest so their ids stay put
+    case(decompose, LAM, KMAX, 1),
+    case(rank_km, LAM, KMAX, 1),
 ]
 
 

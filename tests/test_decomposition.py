@@ -114,8 +114,8 @@ def test_matches_classical_squares():
 def test_json_round_trip():
     d = decompose(BIG, 3, 0)
     doc = d.to_json_dict()
-    assert doc["widths"] == [5, 3, 2]
-    assert DurfeeDecomposition.from_json_dict(doc) == d
+    assert doc == {"m": 0, "k": 3, "widths": [5, 3, 2],
+                   "sides": ["2,2,1,1", "1", "1"], "below": "1,1,1,1,1"}
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from durfee import (
 from durfee.decomposition import decompose
 from durfee.errors import EmptyPartition, ImpracticalOrder, NoSuchDecomposition
 from durfee import partition
-from durfee.partition import MAX_PARTS, _partition_tuples
+from durfee.partition import MAX_PARTS
 
 partitions = st.lists(st.integers(1, 12), max_size=10).map(
     lambda xs: Partition(sorted(xs, reverse=True))
@@ -136,12 +136,10 @@ def test_enumerate_small_order():
 
 
 def test_enumerate_is_lazy():
-    # the first partition comes at once, and the tuple cache is left alone
-    before = _partition_tuples.cache_info().currsize
+    # the first partition comes at once
     t = time.perf_counter()
     assert next(enumerate_partitions(200)).parts == (200,)
     assert time.perf_counter() - t < 0.1
-    assert _partition_tuples.cache_info().currsize == before
 
 
 def test_partitions_of_refuses_past_the_parts_budget(monkeypatch):
@@ -150,7 +148,7 @@ def test_partitions_of_refuses_past_the_parts_budget(monkeypatch):
     # partitions_of(60); a huge n is priced off a small table
     pt = p_table(61)
     assert pt[60] <= MAX_PARTS < pt[61]
-    monkeypatch.setattr(partition, "_partition_tuples", lambda n: ())
+    monkeypatch.setattr(partition, "_iter_partition_tuples", lambda n: iter(()))
     assert partitions_of(60) == ()
     with pytest.raises(ImpracticalOrder, match=r"^partitions_of\(61\) would have 1121505 partitions "):
         partitions_of(61)
