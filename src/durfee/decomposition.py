@@ -77,10 +77,15 @@ def decompose(lam: Partition, k: int, m: int) -> DurfeeDecomposition:
     """
     widths, sides, below = _decompose_raw(lam.parts, k, m)
     fp = Partition._fromparts
-    # every side past the first zero-width rectangle is empty (see _decompose_raw)
-    live = min(k, k - widths.count(0) + 1)
+    live = _live(widths)
     sides = tuple(map(fp, sides[:live])) + (_EMPTY,) * (k - live)
     return DurfeeDecomposition(m, k, widths, sides, fp(below))
+
+
+def _live(widths: tuple[int, ...]) -> int:
+    """Sides up to the first zero-width rectangle: every later side is
+    empty, with gap 0 (see ``_decompose_raw``)."""
+    return min(len(widths), len(widths) - widths.count(0) + 1)
 
 
 def _decompose_raw(ps: tuple[int, ...], k: int, m: int):

@@ -26,7 +26,9 @@ MAX_PARTS = 1_000_000
 # costliest verify at each identity's cap over k in {1, 2, 3, 5, 10}:
 # pentagonal 0.69 s (6324), schur 1.6 s (k = 2, 50804), rr 1.3 s (k = 5,
 # 4615), andrews 1.1 s (k = a = 10, 3753), jacobi 0.59 s (k = 1, 6324)
-# and h_closed_form 0.38 s (k = 10, 999).
+# and h_closed_form 0.38 s (k = 10, 999).  A QSeries product at its cap
+# (order 6323, best of 5): 0.18 s for p(n) times digits in -9..9, and
+# 0.47 s for the square of 1/(q)_inf, whose coefficients reach 279 bits.
 MAX_SERIES_COST = 20_000_000
 
 

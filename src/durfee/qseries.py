@@ -89,10 +89,14 @@ class QSeries:
         return QSeries._fromcoeffs(map(neg, self.coeffs), self.order)
 
     def __mul__(self, other: "QSeries") -> "QSeries":
+        """Product truncated at the smaller order T, priced as T + 1 cells
+        and the (T + 1)(T + 2)/2 terms of its truncated convolution, so a
+        product past order 6323 raises ImpracticalOrder before any packing."""
         if not isinstance(other, QSeries):
             return NotImplemented
         T = min(self.order, other.order)
-        return QSeries._fromcoeffs(_mul(self.coeffs, other.coeffs, T), T)
+        plan = ((T + 1, (T + 1) * (T + 2) // 2), lambda: _mul(self.coeffs, other.coeffs, T))
+        return _series(f"QSeries product of order {T}", T, plan)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, QSeries):
@@ -111,14 +115,18 @@ class QSeries:
 def _mul(a, b, T: int) -> list[int]:
     """Coefficients 0..T of the product of the coefficient lists a and b.
 
-    Kronecker substitution: each operand becomes one integer with a byte
-    slot per coefficient, wide enough that every product coefficient c
-    satisfies |c| < 2^(w-1) for a slot of w bits (w >= bits(max|a|) +
-    bits(max|b|) + bits(min length) + 1).  ``_pack`` writes each operand's
-    slots in one byte string.  One big-integer multiply forms every
-    convolution at once; adding 2^(w-1) to each of the T + 1 low slots
-    makes them non-negative, so a mask and one ``to_bytes`` give the
-    coefficients back.  Exact for any integers.
+    Two-point Kronecker substitution (Harvey, J. Symbolic Comput. 44, 2009).
+    Every coefficient h_j of h = ab satisfies |h_j| < 2^(8w - 1) for a slot
+    of w bytes, w the least with 8w >= bits(max|a|) + bits(max|b|) +
+    bits(min length) + 1.  Split c(x) = Ce(x^2) + x Co(x^2) for each
+    operand, so h(x) = He(x^2) + x Ho(x^2), and evaluate at x = +-2^s, s =
+    4w, where x^2 = 2^(8w) is one slot: ``_pack`` writes Ce and Co at
+    w-byte slots as E and O, and c(+-2^s) = E +- (O << s).  The two
+    half-size multiplies P+- = a(+-2^s) b(+-2^s) = He(2^(8w)) +- 2^s
+    Ho(2^(8w)) give He(2^(8w)) = (P+ + P-) >> 1 and Ho(2^(8w)) = (P+ - P-)
+    >> (s + 1), both shifts exact.  Adding 2^(8w - 1) to each of their low
+    slots makes them non-negative, so a mask and one ``to_bytes`` each give
+    h_0, h_2, ... and h_1, h_3, ... back.  Exact for any integers.
     """
     a, b = a[: T + 1], b[: T + 1]
     if not (any(a) and any(b)):
@@ -126,12 +134,16 @@ def _mul(a, b, T: int) -> list[int]:
     amax, bmax = max(max(a), -min(a)), max(max(b), -min(b))
     bits = amax.bit_length() + bmax.bit_length() + min(len(a), len(b)).bit_length() + 1
     width = (bits + 7) // 8
-    slots = width * (T + 1)
-    half = 1 << (8 * width - 1)
-    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * (T + 1), "little")  # 1 in every slot
-    product = _pack(a, width, ones) * _pack(b, width, ones) + half * ones
-    raw = (product & ((1 << (8 * slots)) - 1)).to_bytes(slots, "little")
-    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, slots, width)]
+    s, half = 4 * width, 1 << (8 * width - 1)
+    evens = T // 2 + 1  # slots of h_0, h_2, ...; h_1, h_3, ... take evens - 1 + T % 2
+    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * evens, "little")  # 1 in every slot
+    ae, ao, be, bo = (_pack(c, width, ones) for c in (a[0::2], a[1::2], b[0::2], b[1::2]))
+    ao, bo = ao << s, bo << s
+    plus, minus = (ae + ao) * (be + bo), (ae - ao) * (be - bo)
+    out = [0] * (T + 1)
+    out[0::2] = _unpack((plus + minus) >> 1, width, evens, half, ones)
+    out[1::2] = _unpack((plus - minus) >> (s + 1), width, (T + 1) // 2, half, ones)
+    return out
 
 
 def _pack(cs, width: int, ones: int) -> int:
@@ -140,6 +152,15 @@ def _pack(cs, width: int, ones: int) -> int:
     # 256^width too high, so one borrow from the slot above each sign bit corrects all
     p = int.from_bytes(b"".join([c.to_bytes(width, "little", signed=True) for c in cs]), "little")
     return p - (((p >> (8 * width - 1)) & ones) << 8 * width)
+
+
+def _unpack(h: int, width: int, slots: int, half: int, ones: int) -> list[int]:
+    # the lowest `slots` signed coefficients of h, each in [-half, half), half = 2^(8 width - 1):
+    # half added to each slot ones covers (at least those, any above lands past the mask)
+    # makes every one its own non-negative bytes
+    size = width * slots
+    raw = ((h + half * ones) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, size, width)]
 
 
 def _times_geometric(cs: list[int], n: int, start: int) -> None:

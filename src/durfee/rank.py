@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .decomposition import _compose_raw, _decompose_raw, _gaps
+from .decomposition import _compose_raw, _decompose_raw, _gaps, _live
 from .errors import EmptyPartition, InternalInvariantViolation
 from .partition import Partition, _conjugate_parts
 from .select_insert import _select_raw
@@ -54,14 +54,20 @@ def _rank_raw(ps: tuple[int, ...], k: int, m: int):
     part tuples and the selected rows and parts as lists.
     """
     widths, sides, below = _decompose_raw(ps, k, m)
-    rows, parts = _select_raw(sides, _gaps(widths))
     n_k = widths[-1]
+    # past a zero-width rectangle (so n_k = 0) every side is empty, with gap 0:
+    # the walk enters each at row 1, selects part 0 there and leaves at row 1
+    live = k if n_k else _live(widths)
+    rows, parts = _select_raw(sides[:live], _gaps(widths[:live]))
     for i, j in enumerate(rows):
         # selection never reaches below rectangle i: j <= 1 + N_i - N_k <= N_i + m
         if j > 1 + widths[i] - n_k:
             raise InternalInvariantViolation(
                 f"selected row {j} in side {i + 1} exceeds 1 + N_i - N_k"
             )
+    if live < k:
+        rows += [1] * (k - live)
+        parts += [0] * (k - live)
     return widths, sides, below, rows, parts
 
 

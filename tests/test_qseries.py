@@ -36,6 +36,7 @@ from durfee.qseries import (
     _mul,
     _passes_cost,
     _theta,
+    _unpack,
 )
 
 
@@ -78,6 +79,24 @@ def test_mul_matches_schoolbook():
     assert _mul([], [1, 2], 2) == [0, 0, 0]
     assert _mul([-(10**40)], [-(10**40), 10**40], 0) == [10**80]
     assert _mul([1, -1], [1, 1, 1, 1], 5) == [1, 0, 0, 0, -1, 0]
+    # operands of length 1 and 2 (an empty or one-slot odd half), all signs,
+    # T even and odd from 0 up past both lengths
+    for a, b in itertools.product(([5], [-5], [3, 7], [-3, -7], [3, -7]), repeat=2):
+        for T in range(6):
+            assert _mul(a, b, T) == schoolbook(a, b, T), (a, b, T)
+    for T in range(9):
+        a = [-rng.randint(1, 10**6) for _ in range(rng.randint(1, 5))]
+        b = [-rng.randint(1, 10**30) for _ in range(rng.randint(1, 5))]
+        assert _mul(a, b, T) == schoolbook(a, b, T), (a, b, T)  # all negative
+    # p(n), far wider than the seeded noise it multiplies
+    p = p_table(300)
+    for T in (0, 1, 298, 299, 300):
+        b = [rng.randint(-9, 9) for _ in range(T + 1)]
+        assert _mul(p, b, T) == schoolbook(p, b, T), T
+
+
+def ones(width, slots):
+    return int.from_bytes((b"\x01" + bytes(width - 1)) * slots, "little")
 
 
 def test_mul_codec_edges():
@@ -105,6 +124,14 @@ def test_mul_codec_edges():
         assert _mul([-3], [-4], T) == schoolbook([-3], [-4], T)  # one coefficient each
         assert _mul([-1, -2, -3], [-4, -5], T) == schoolbook([-1, -2, -3], [-4, -5], T)
         assert _mul([0, 0], [0], T) == _mul([7], [0, 0, 0], T) == [0] * (T + 1)
+    # a slot decodes every coefficient c with -2^(8w - 1) <= c <= 2^(8w - 1) - 1,
+    # both ends, also next to negative slots that borrow from the slot above
+    for width in (1, 2, 9):
+        half = 1 << (8 * width - 1)
+        for cs in ([half - 1, -(half - 1), -half, 0, half - 1], [-half] * 4 + [half - 1]):
+            h = sum(c << 8 * width * i for i, c in enumerate(cs))
+            for slots in range(len(cs) + 1):
+                assert _unpack(h, width, slots, half, ones(width, 5)) == cs[:slots]
 
 
 def test_mixed_orders_truncate_to_smaller():
@@ -238,6 +265,17 @@ def test_series_entry_points_refuse_huge_orders_at_once():
         with pytest.raises(ImpracticalOrder, match=f"^{what} {args[-1]} needs "):
             call(*args)
         assert time.perf_counter() - t < 0.1, (call.__name__, args)
+    # a product is priced as the (T + 1)(T + 2)/2 terms of its convolution:
+    # order 6323 answers, and 6324 is refused before anything is packed
+    assert 6324 * 6325 // 2 <= MAX_SERIES_COST < 6325 * 6326 // 2
+    p = inv_euler(6323)
+    assert p * QSeries([1, -1], 10**6) == QSeries(map(operator.sub, p.coeffs, (0,) + p.coeffs), 6323)
+    for order in (6324, 10**6):
+        a, b = QSeries.one(10**6), QSeries([1] * (order + 1), order)
+        t = time.perf_counter()
+        with pytest.raises(ImpracticalOrder, match=f"^QSeries product of order {order} needs "):
+            a * b
+        assert time.perf_counter() - t < 0.1, order
     # the prices count the work exactly
     for order in (0, 1, 9, 30):
         for first, step, last in ((1, 1, order), (1, 1, order // 2), (5, 5, order), (2, 3, order)):

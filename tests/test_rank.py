@@ -43,6 +43,34 @@ def test_rank_km_cost_does_not_grow_with_m():
     assert time.perf_counter() - t < 0.1
 
 
+def test_rank_walk_skips_the_empty_sides_only(monkeypatch):
+    # past the first zero-width rectangle the walk is cut short; the public
+    # select over every side gives the same rows and parts
+    from durfee import rank
+    from durfee.decomposition import decompose, profile
+    from durfee.rank import _rank_raw
+    from durfee.select_insert import PartitionSequence, _select_raw, select
+
+    for n in range(11):
+        for lam in partitions_of(n):
+            for k in (1, 2, 4, 7):
+                for m in (1, 2):
+                    d = decompose(lam, k, m)
+                    tr = select(PartitionSequence(d.sides, profile(d)))
+                    _, _, _, rows, parts = _rank_raw(lam.parts, k, m)
+                    assert (tuple(rows), tuple(parts)) == (tr.rows, tr.parts), (lam, k, m)
+    # at k = 10^6 it walks the two sides up to the zero-width rectangle
+    walked = []
+
+    def counted(seqs, bounds):
+        walked.append(len(seqs))
+        return _select_raw(seqs, bounds)
+
+    monkeypatch.setattr(rank, "_select_raw", counted)
+    st = rank_km(P([5, 4]), 10**6, 1)
+    assert (st.a, st.b, st.widths[:3], walked) == (3, 0, (1, 0, 0), [2])
+
+
 def test_rank_km_vs_dyson_rank():
     # with one rectangle the statistic is the Dyson rank shifted by m only
     # while the rectangle stays inside the diagram (len >= m); a single row
