@@ -4,21 +4,21 @@ the generalized Dyson map between rectangle parameters m and m+2.
 Each map runs once, on part tuples, through the raw helpers of
 ``decomposition`` and ``select_insert``; the only object it builds is the
 image ``Partition``.  ``gen_conjugate`` copies the side partitions into
-working lists once, runs its N_k removals and N_k insertions on them in
-place, and converts them back once.  ``gen_dyson`` hands the selection walk
-that ``_rank_raw`` already made to the insertion, and
-``gen_dyson_inverse`` hands it to the removal, so each walks its selection
-once.  After every removal and insertion an O(k) check confirms that each
-side partition still fits its width gap, and a failure raises
-InternalInvariantViolation naming the input and the parameters.  The image
-is reassembled by ``_compose_raw``, whose greedy-maximality check is O(k).
+working lists once, runs its N_k removals as one pass per level, places
+every column it puts back against the residue and merges them in once per
+level.  ``gen_dyson`` and ``gen_dyson_inverse`` take the selection walk
+that ``_rank_raw`` already made, for the a >= A check and for the removal,
+so each walks its selection once.  Every removal is followed by an O(k)
+check that each side partition still fits its width gap, and every placed
+part is checked against its neighbours and its bound; a failure raises
+InternalInvariantViolation.  The image is reassembled by ``_compose_raw``,
+whose greedy-maximality check is O(k).
 """
 
 from __future__ import annotations
 
 from .decomposition import _compose_raw, _decompose_raw, _gaps
 from .errors import (
-    InsertionUnderflow,
     InternalInvariantViolation,
     InvalidDecomposition,
     RankTooLarge,
@@ -29,10 +29,11 @@ from .partition import Partition, _check_ints, _conjugate_parts, _refuse_parts
 from .rank import _rank_raw, dyson_rank
 from .select_insert import (
     _check_bounds,
-    _insert_into,
     _insert_raw,
+    _placement,
     _remove_iterated,
     _remove_raw,
+    _select_raw,
 )
 
 
@@ -60,6 +61,15 @@ def gen_conjugate(lam: Partition, k: int) -> Partition:
     as columns, form the new below-partition) and inserts the columns of the
     old below-partition back into the sides, smallest first.  Exchanges the
     selection total with the number of parts below; widths are preserved.
+
+    Each insertion's total is the selection total met by the next, larger
+    column, so only the smallest column needs a >= A.  Removing the N_k
+    insertions again takes the columns back largest first, and each step
+    removes a part with as many residue parts above it as ``_placement``
+    of its column into the residue gives (see ``_remove_iterated``).  By
+    the uniqueness of the placement, the inserted parts are the placements
+    of the columns into the residue, so they are placed there at once and
+    merged into each side partition in one sort.
     """
     widths, sides, below = _decompose_raw(lam.parts, k, 0)
     n_k = widths[-1]
@@ -71,19 +81,14 @@ def gen_conjugate(lam: Partition, k: int) -> Partition:
     work = list(map(list, sides))
     nu = _remove_iterated(work, bounds, n_k, where)
     alpha_cols = _conjugate_parts(below)
-    for j in range(n_k, 0, -1):
-        col = alpha_cols[j - 1] if j <= len(alpha_cols) else 0
-        try:
-            _insert_into(col, work, bounds)
-        except InsertionUnderflow:
-            raise InternalInvariantViolation(
-                f"column insertion order broke a >= A: {where()}"
-            ) from None
-        _check_bounds(work, bounds, where)
-
-    new_below = _conjugate_parts(tuple(nu))
-    new_sides = tuple(map(tuple, work))
-    return Partition._fromparts(_compose_raw(0, k, widths, new_sides, new_below))
+    smallest = alpha_cols[n_k - 1] if n_k <= len(alpha_cols) else 0
+    if smallest < sum(_select_raw(work, bounds)[1]):
+        raise InternalInvariantViolation(f"column insertion order broke a >= A: {where()}")
+    placed = [_placement(col, work, bounds) for col in alpha_cols]
+    for s, level in zip(work, zip(*placed)):
+        s += [v for _, v in level if v]
+        s.sort(reverse=True)
+    return Partition._fromparts(_compose_raw(0, k, widths, work, _conjugate_parts(nu)))
 
 
 def gen_dyson(lam: Partition, k: int, m: int, r: int) -> Partition:
@@ -97,7 +102,7 @@ def gen_dyson(lam: Partition, k: int, m: int, r: int) -> Partition:
     """
     if type(r) is not int:  # as in dyson_map; k and m are checked by the decomposition
         _check_ints(r=r)
-    widths, sides, below, rows, parts = _rank_raw(lam.parts, k, m)
+    widths, sides, below, _, parts = _rank_raw(lam.parts, k, m)
     if any(w == 0 for w in widths):
         raise ZeroWidthRectangle(f"{lam.text()} has a zero-width {m}-Durfee rectangle")
     t = len(below)
@@ -108,9 +113,8 @@ def gen_dyson(lam: Partition, k: int, m: int, r: int) -> Partition:
     def where():
         return f"{lam.text()}, k={k}, m={m}, r={r}"
 
-    bounds = _gaps(widths)
-    new_sides = _insert_raw(t - r, sides, bounds, (rows, parts))
-    _check_bounds(new_sides, bounds, where)
+    # rank <= -r is the a >= A of this insertion
+    new_sides = _insert_raw(t - r, sides, _gaps(widths))
     beta = tuple([x - 1 for x in below if x > 1])
     new_widths = tuple([w - 1 for w in widths])
     for w in new_widths:

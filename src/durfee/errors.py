@@ -55,10 +55,9 @@ class ImpracticalOrder(DurfeeError):
     Raised before any work when the price of a series plan, its cells and
     its coefficient additions, passes ``partition.MAX_SERIES_COST`` in
     either, by ``partition._build``, which builds every series and sums the
-    two sides of ``verify_identity`` and ``jacobi_specialization``; and by
-    ``insert``, priced by its bounds.  Raised by ``partition._refuse_parts``
-    before anything is built when an output would pass ``partition.MAX_PARTS``
-    entries: the parts of ``Partition.conjugate`` (so of ``gen_conjugate``
+    two sides of ``verify_identity`` and ``jacobi_specialization``.  Raised
+    by ``partition._refuse_parts`` before anything is built when an output
+    would pass ``partition.MAX_PARTS`` entries: the parts of ``Partition.conjugate`` (so of ``gen_conjugate``
     and ``garvan_conjugate``), ``compose`` and ``gen_dyson_inverse``; the
     widths of a decomposition with m >= 1 (``decompose``, ``compose``,
     ``rank_km``, ``gen_dyson``, ``gen_dyson_inverse``); and the partitions

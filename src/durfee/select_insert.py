@@ -11,28 +11,27 @@ Insertion is the inverse: given a >= A (the current selection total), there
 is exactly one way to add one part (possibly of size zero) to every
 lambda^i so that the bounds still hold and the new selection total is a.
 The inserted parts are precisely the parts selected afterwards, which is
-why selection-plus-removal undoes insertion.  Insertion adds its cells in
-jumps (see ``insert``), so its cost does not depend on a; the public
-``insert`` prices it by its bounds and refuses past the series cap.
+why selection-plus-removal undoes insertion.  Counted in parts of lambda^i
+above it, each new part's place depends only on the parts inserted below
+it, so ``_placement`` fixes it level by level with one binary search: the
+cost of an insertion depends neither on a nor on the bounds.
 
-The helpers on raw part lists are the single implementation.  Removal and
-insertion each have one in-place form on a working list per partition:
-``_remove_rows`` deletes the selected rows (``del s[j - 1]``),
-``_remove_iterated`` repeats selection and removal, and ``_insert_into``
-runs ``_base_insert_raw`` in place, then ``_grow_raw``.  The copying forms
-``_remove_raw`` and ``_insert_raw`` copy the parts once and call those same
-helpers.  The public operations on ``PartitionSequence`` wrap them; the rank
-statistics and the bijections call them directly, so no sequence object is
-built per step, and a map that removes or inserts many times (generalized
-conjugation) copies its sides once and edits them in place.
+The helpers on raw part lists are the single implementation.
+``_remove_rows`` deletes the selected rows in place and ``_remove_raw``
+copies first; ``_remove_iterated`` repeats selection and removal in place,
+one ``_remove_pass`` per level, as the rows a partition loses lie strictly
+below each other; ``_insert_raw`` copies the parts once around the
+placement.  The public operations on ``PartitionSequence`` wrap them; the
+rank statistics and the bijections call them directly, so no sequence
+object is built per step.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import ImpracticalOrder, InsertionUnderflow, InternalInvariantViolation
-from .partition import MAX_SERIES_COST, Partition, _check_ints
+from .errors import InsertionUnderflow, InternalInvariantViolation
+from .partition import Partition, _check_ints
 
 
 class PartitionSequence:
@@ -132,95 +131,114 @@ def _remove_raw(seqs, rows):
     return list(map(tuple, work))
 
 
-def _base_insert_raw(work, rows, parts):
-    """Duplicate each selected part directly above its selected row, in place.
+def _placement(a, seqs, bounds):
+    """Where ``insert`` puts its new parts: (j_i, v_i) for each partition.
 
-    Virtual (size-0) selections change nothing.
+    The new part v_i of lambda^i goes below its first j_i parts.  After the
+    insertion the walk must select exactly the new parts, so, as row 1 of
+    lambda^k is selected and each level adds p_i - v_i rows,
+    j_i = P_i - s_i, where P_i = p_(i+1) + ... + p_k and
+    s_i = v_(i+1) + ... + v_k.  The new part must also sit in its place:
+    lambda^i_(j_i + 1) <= v_i <= lambda^i_(j_i), where lambda^i_0 is p_i,
+    or unbounded for i = 1, and rows past the stored parts are 0.
+
+    With s_0 = a and v_i = s_(i-1) - s_i, level i fixes s_i from s_(i-1):
+    it is the largest s in [0, min(P_i, s_(i-1))] with
+    s_(i-1) - s >= lambda^i_(P_i - s + 1).  Uniqueness: the gap
+    f(s) = s_(i-1) - s - lambda^i_(P_i - s + 1) strictly falls as s grows,
+    since the part read moves up a row and so does not shrink.  The lower
+    condition is f(s) >= 0, and the upper one, v_i <= lambda^i_(P_i - s),
+    is f(s + 1) < 0; so the only s that meets both is the last one with
+    f >= 0.  The last level has P_k = 0 and takes v_k = s_(k-1).  In j
+    (the parts of lambda^i above the new one) the condition reads
+    lambda^i_(j+1) - j <= s_(i-1) - P_i, one binary search over the
+    stored parts, so an insertion costs O(k log(parts)) whatever a and the
+    bounds.  Rows past the stored parts always meet it.  An insertion
+    exists for every a >= A (the paper's insertion theorem), so a bound
+    that fails here is a bug and raises InternalInvariantViolation.
     """
-    for s, j, v in zip(work, rows, parts):
-        if v > 0:
-            s.insert(j - 1, v)
-
-
-def _grow_raw(work, bounds, cells, selected=None):
-    """Add ``cells`` cells to the inserted parts in jumps (see ``insert``).
-
-    ``selected`` is ``_select_raw(work, bounds)``, if the caller has it.
-    """
-    left = cells
-    while left > 0:
-        rows, parts = selected or _select_raw(work, bounds)
-        selected = None
-        if rows[0] == 1:
-            i, j, step = 0, 1, left
-        else:
-            for i, (j, v) in enumerate(zip(rows, parts)):
-                s = work[i]
-                # i == 0 was handled above, so bounds[i - 1] is in range
-                ceiling = bounds[i - 1] if j == 1 else s[j - 2] if j - 1 <= len(s) else 0
-                if v < ceiling:
-                    break
+    rest, left, out = sum(bounds), a, []  # P_i and s_(i-1)
+    # lambda^1 is unbounded, and no new part exceeds a
+    for s, cap, below in zip(seqs, (a, *bounds), (*bounds, 0)):
+        n = len(s)
+        d = left - rest
+        j = -d if d < 0 else 0
+        hi = rest if rest < n else n
+        while j < hi:
+            mid = (j + hi) // 2
+            if s[mid] - mid <= d:
+                hi = mid
             else:
-                raise InternalInvariantViolation(
-                    f"no partition can absorb another cell: parts {work}, "
-                    f"bounds {tuple(bounds)}, {left} of {cells} cells left"
-                )
-            step = min(left, ceiling - v) if i == 0 else 1
-        s = work[i]
-        if j <= len(s):
-            s[j - 1] += step
-        elif j == len(s) + 1:
-            s.append(step)
-        else:
+                j = mid + 1
+        v = d + j
+        # past the stored parts v is 0, which fits any virtual row
+        if j <= n and not (s[j] if j < n else 0) <= v <= (s[j - 1] if j else cap):
             raise InternalInvariantViolation(
-                f"virtual selection at row {j} of partition {i + 1} grew past the first "
-                f"virtual row: parts {work}, bounds {tuple(bounds)}, {left} of {cells} cells left"
+                f"inserting {a}: part {v} does not fit below {j} parts of partition "
+                f"{len(out) + 1}: parts {[tuple(t) for t in seqs]}, bounds {tuple(bounds)}"
             )
-        left -= step
+        out.append((j, v))
+        left = rest - j
+        rest -= below
+    return out
 
 
-def _insert_into(a, work, bounds, selected=None):
-    """``insert`` on a list of part lists, in place.
+def _insert_raw(a, seqs, bounds):
+    """``insert`` on part tuples/lists, for a >= A; returns a list of part tuples."""
+    return [
+        (*s[:j], v, *s[j:]) if v else tuple(s)
+        for s, (j, v) in zip(seqs, _placement(a, seqs, bounds))
+    ]
 
-    ``selected`` is ``_select_raw(work, bounds)``, if the caller has it;
-    else one selection walk runs.  The walk also serves the a >= A check:
-    the base insertion keeps every selected row and part, so the walk is
-    still valid for the first jump.
+
+def _remove_pass(s, rest, totals, where):
+    """One level of ``_remove_iterated``, in place: adds each step's part to ``totals``.
+
+    ``rest`` is P_i and ``totals[t]`` is s_i at step t, the parts it took
+    from the levels below, so step t selects the row after P_i - s_i
+    surviving parts.  The rows of the steps before it sat above that row,
+    so it is row P_i - s_i + t of the input, 0-based; once a row lies past
+    the stored parts every later one does, and the rest of the steps take 0.
     """
-    rows, parts = selected or _select_raw(work, bounds)
-    total = sum(parts)
-    if a < total:
-        raise InsertionUnderflow(f"cannot insert {a} < selection total {total}")
-    _base_insert_raw(work, rows, parts)
-    _grow_raw(work, bounds, a - total, (rows, parts))
-
-
-def _insert_raw(a, seqs, bounds, selected=None):
-    """``insert`` on part tuples/lists; returns a list of part tuples."""
-    work = list(map(list, seqs))
-    _insert_into(a, work, bounds, selected)
-    return list(map(tuple, work))
+    rows = []
+    for t, x in enumerate(totals):
+        j = rest - x + t
+        if j >= len(s):
+            break
+        if rows and j <= rows[-1]:
+            raise InternalInvariantViolation(
+                f"removal at step {t + 1} does not lie below the one before: {where()}"
+            )
+        rows.append(j)
+    for t, j in enumerate(rows):
+        totals[t] += s[j]
+    for j in reversed(rows):
+        del s[j]
 
 
 def _remove_iterated(work, bounds, t, where):
     """``iterate_remove`` on a list of part lists, in place: the nonzero removed totals.
 
-    After each removal the O(k) bound check runs; ``where()`` names the
-    input in the InternalInvariantViolation it raises.  A total of 0 means
-    every selected row was virtual, so nothing changes from there on: the
-    walks stop.  Each nonzero total deletes at least one part, so there are
-    at most as many walks and totals as parts, whatever t.
+    A removal only exposes rows below the ones it took, so in each partition
+    the row removed at step t lies below those of the earlier steps, and
+    every part above it survives all the steps: the walk selects the row
+    after idx_t - 1 surviving parts, where idx_t is its selected row.  That
+    count, P_i - s_i as in ``_placement``, depends only on the parts removed
+    from the levels below, so the steps run as one ``_remove_pass`` per
+    level, from lambda^k up.  Each nonzero total deletes a part, so there
+    are at most as many nonzero totals as parts, whatever t; a total of 0
+    means every selected row was virtual, and so is every later one.  The
+    O(k) bound check runs once at the end; ``where()`` names the input in
+    the InternalInvariantViolation it raises.
     """
-    totals = []
-    for _ in range(t):
-        rows, parts = _select_raw(work, bounds)
-        total = sum(parts)
-        if not total:
-            break
-        _remove_rows(work, rows)
-        _check_bounds(work, bounds, where)
-        totals.append(total)
-    return totals
+    totals = [0] * min(t, sum(map(len, work)))
+    rest = 0  # P_i
+    for i in range(len(work) - 1, -1, -1):
+        _remove_pass(work[i], rest, totals, where)
+        if i:
+            rest += bounds[i - 1]
+    _check_bounds(work, bounds, where)
+    return totals[: totals.index(0)] if 0 in totals else totals
 
 
 def _check_bounds(seqs, bounds, where):
@@ -263,33 +281,22 @@ def insert(a: int, seq: PartitionSequence) -> PartitionSequence:
     """Insert a total of ``a`` cells, one new part per partition.
 
     Requires a >= A = select(seq).total.  The result is the unique sequence
-    with selection total ``a`` obtainable by inserting one part into each
-    partition within the bounds.  Each selected part is first duplicated
-    above its row; each further cell goes to the first part of lambda^1 if
-    its selection is at row 1, else to the first partition whose selected
-    part is below its ceiling (the part above it, or p_i at row 1).  A walk
-    places every cell that cannot change that choice.  It reads lambda^1
-    last, so growing lambda^1 moves no selected row: all remaining cells go
-    in at row 1, as many as fit under the ceiling at a lower row.  A cell at
-    a level i >= 2 goes in alone.  It lowers by one the row index the walk
-    moves to next, and parts at smaller indices are no smaller, so every
-    selected row of lambda^(i-1) .. lambda^1 moves up: rows[0] strictly
-    decreases.  As rows[0] <= 1 + sum(p_i), at most 2 * rows[0] + 2 walks of
-    k steps run, after one copy of the parts: insertion costs
-    O(k * (parts + sum(p_i))) for any a.  That bound is its price; past
-    MAX_SERIES_COST it raises ImpracticalOrder before anything is built.
+    with selection total ``a`` obtainable by inserting one part (possibly of
+    size 0) into each partition within the bounds; selection-plus-removal
+    gives ``seq`` back.  Each new part is found by one binary search over
+    the parts of its partition (see ``_placement``), so an insertion costs
+    one selection walk, O(k log(parts)) steps and one copy of the parts,
+    whatever a and the bounds, and its output is the input plus k parts.
     """
     if type(a) is not int:  # the cheap test; the helper names the culprit
         _check_ints(a=a)
     if a < 0:
         raise ValueError("insertion total must be non-negative")
-    cost = seq.k * (2 * sum(seq.bounds) + 4) + sum(map(len, seq.partitions))
-    if cost > MAX_SERIES_COST:
-        raise ImpracticalOrder(
-            f"insert with bounds summing to {sum(seq.bounds)} may take {cost} walk steps "
-            f"(cap {MAX_SERIES_COST}); refusing"
-        )
-    out = _insert_raw(a, seq.part_tuples(), seq.bounds)
+    tuples = seq.part_tuples()
+    total = sum(_select_raw(tuples, seq.bounds)[1])
+    if a < total:
+        raise InsertionUnderflow(f"cannot insert {a} < selection total {total}")
+    out = _insert_raw(a, tuples, seq.bounds)
     return PartitionSequence(
         tuple(Partition._fromparts(t) for t in out), seq.bounds
     )

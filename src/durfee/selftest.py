@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .bijections import dyson_map, gen_conjugate, gen_dyson, gen_dyson_inverse
 from .decomposition import DurfeeDecomposition, _widths_maximal, compose, decompose, profile
-from .errors import NoSuchDecomposition
+from .errors import InternalInvariantViolation, NoSuchDecomposition
 from .partition import (
     Partition,
     _iter_partition_tuples,
@@ -38,8 +38,6 @@ from .qseries import (
 from .rank import dyson_rank, garvan_conjugate, garvan_rank, rank_km
 from .select_insert import (
     PartitionSequence,
-    _base_insert_raw,
-    _grow_raw,
     _insert_raw,
     _remove_raw,
     _remove_rows,
@@ -421,6 +419,52 @@ def _valid_tails(seqs, bounds, candidates):
     return out
 
 
+def _unit_insert(work, bounds, cells, selected=None):
+    """The paper's unit insertion, in place: the oracle of ``insert``.
+
+    ``work`` already holds the insertion of a = A, every selected part
+    duplicated above its row.  Each further cell goes to the selected part
+    of lambda^1 if that is at row 1, else to the selected part of the first
+    partition that is below its ceiling (the part above it, or p_i at row
+    1).  A cell at row 1 of lambda^1 moves no selected row, so once there
+    the remaining cells go in together.  ``selected`` is
+    ``_select_raw(work, bounds)``, if the caller has it.
+    """
+    left = cells
+    while left > 0:
+        rows, parts = selected or _select_raw(work, bounds)
+        selected = None
+        step = 1
+        if rows[0] == 1:
+            i, j, step = 0, 1, left
+        else:
+            for i, (j, v) in enumerate(zip(rows, parts)):
+                s = work[i]
+                # i == 0 was handled above, so bounds[i - 1] is in range
+                ceiling = bounds[i - 1] if j == 1 else s[j - 2] if j - 1 <= len(s) else 0
+                if v < ceiling:
+                    break
+            else:
+                raise InternalInvariantViolation(
+                    f"no partition can absorb another cell: parts {work}, bounds {tuple(bounds)}"
+                )
+        s = work[i]
+        if j <= len(s):
+            s[j - 1] += step
+        else:  # a virtual part is below its ceiling only in the first virtual row
+            s.append(step)
+        left -= step
+
+
+def _base_insert(seqs, rows, parts):
+    """Part lists of ``seqs`` with each selected part duplicated above its row."""
+    work = list(map(list, seqs))
+    for s, j, v in zip(work, rows, parts):
+        if v > 0:
+            s.insert(j - 1, v)
+    return work
+
+
 def selection_invariants(max_total: int = 16, extra: int = 10) -> list[CheckResult]:
     """Exhaustive removal/insertion laws over all bounded sequences.
 
@@ -490,11 +534,10 @@ def _check_sequence(tally: _Tally, seqs, bounds, extra: int, tails) -> None:
     # incremental insertion: one cell at a time from a = A to A + extra
     # the input as part lists, to compare with removals done in place
     llists = list(map(list, seqs))
-    work = list(map(list, seqs))
-    _base_insert_raw(work, rows, parts)
+    work = _base_insert(seqs, rows, parts)
     for a in range(A, A + extra + 1):
         if a > A:
-            _grow_raw(work, bounds, 1, (mrows, mparts))
+            _unit_insert(work, bounds, 1, (mrows, mparts))
         mrows, mparts = _select_raw(work, bounds)
         tally.add("inserted sequence selects total a", sum(mparts) == a, lambda: where(f"a={a}"))
         back = list(map(list, work))
@@ -525,10 +568,9 @@ def _check_sequence(tally: _Tally, seqs, bounds, extra: int, tails) -> None:
             lambda: where(f"a={a}", f"matches={matches}"),
         )
 
-    jump = list(map(list, seqs))
-    _base_insert_raw(jump, rows, parts)
-    _grow_raw(jump, bounds, extra)
-    tally.add("one jump equals unit steps", jump == work, lambda: where(f"a={A + extra}"))
+    jump = _insert_raw(A + extra, seqs, bounds)
+    tally.add("one jump equals unit steps", jump == list(map(tuple, work)),
+              lambda: where(f"a={A + extra}"))
 
 
 def _spot_check_public(tally: _Tally, seqs, bounds, extra: int) -> None:
@@ -542,11 +584,10 @@ def _spot_check_public(tally: _Tally, seqs, bounds, extra: int) -> None:
         f"{seqs} {bounds}",
     )
     # grown one cell at a time: after e steps, the insertion of total + e
-    unit = list(map(list, seqs))
-    _base_insert_raw(unit, rows, parts)
+    unit = _base_insert(seqs, rows, parts)
     for e in range(extra + 1):
         if e:
-            _grow_raw(unit, bounds, 1)
+            _unit_insert(unit, bounds, 1)
         tally.add(
             "one jump equals unit steps",
             _insert_raw(tr.total + e, list(seqs), bounds) == list(map(tuple, unit)),

@@ -101,13 +101,14 @@ def test_conjugate_violation_names_input_and_parameters(monkeypatch):
 
     lam = P([9, 8, 8, 6, 5, 4, 3, 2, 2, 2, 1, 1, 1, 1, 1])
     assert gen_conjugate(gen_conjugate(lam, 2), 2) == lam
+    real = si._remove_pass
 
-    def remove_nothing(work, rows):
-        pass
+    def remove_nothing(s, rest, totals, where):
+        real(list(s), rest, totals, where)
 
-    # the sides keep their selected parts, so the smallest column put back
-    # is below the selection total
-    monkeypatch.setattr(si, "_remove_rows", remove_nothing)
+    # the removal pass reports its parts but leaves them in the sides, so
+    # the smallest column put back is below the selection total
+    monkeypatch.setattr(si, "_remove_pass", remove_nothing)
     with pytest.raises(InternalInvariantViolation) as err:
         gen_conjugate(lam, 2)
     assert "column insertion order broke a >= A" in str(err.value)

@@ -175,6 +175,8 @@ CALLS = [
     # the accepted side of the m >= 1 budget, after the rest so their ids stay put
     case(decompose, LAM, KMAX, 1),
     case(rank_km, LAM, KMAX, 1),
+    # insertion into three partitions under bounds of 10^12, answered
+    case(insert, 10 * BIG, PartitionSequence((EMPTY,) * 3, (BIG, BIG))),
 ]
 
 

@@ -1,4 +1,6 @@
 import time
+from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -16,7 +18,9 @@ from durfee import (
     remove_selected,
     select,
 )
-from durfee.errors import ImpracticalOrder, InsertionUnderflow, NoSuchDecomposition
+from durfee.errors import InsertionUnderflow, NoSuchDecomposition
+from durfee.select_insert import _insert_raw, _placement, _select_raw
+from durfee.selftest import _base_insert, _bounded_sequences, _unit_insert
 
 P = Partition
 
@@ -70,13 +74,48 @@ def test_insert_huge_total():
     assert select(insert(a, s)).total == a
 
 
-def test_insert_huge_bounds_refused_at_once():
-    # the walks grow with the bounds, so bounds of 10^12 are priced and refused
+def test_insert_huge_bounds_answers_at_once():
+    # each new part comes from one binary search, so bounds of 10^12 cost
+    # no more than small ones
     s = seq([[], [], []], [10**12, 10**12])
     t = time.perf_counter()
-    with pytest.raises(ImpracticalOrder):
-        insert(10**13, s)
+    out = insert(10**13, s)
     assert time.perf_counter() - t < 0.1
+    tr, back = remove_selected(out)
+    assert tr.total == 10**13
+    assert back == s
+
+
+def test_insert_large_total_is_fast_with_large_bounds():
+    s = seq([[], [], []], [10**6, 10**6])
+    t = time.perf_counter()
+    out = insert(10**7 + 5, s)
+    assert time.perf_counter() - t < 0.01
+    assert select(out).total == 10**7 + 5
+
+
+def test_placement_matches_unit_insertion():
+    # every sequence of at most 4 partitions with total size <= 5 and
+    # bounds <= 3, at every total from A to A + 11 and at A + 1000: the
+    # placed parts are the ones the paper's unit insertion grows, and the
+    # walk selects them, at row j + 1
+    n = 0
+    for k in range(1, 5):
+        for bounds in product(range(4), repeat=k - 1):
+            for seqs in _bounded_sequences(k, bounds, 5):
+                rows, parts = _select_raw(seqs, bounds)
+                total = sum(parts)
+                unit, grown = _base_insert(seqs, rows, parts), total
+                for a in [*range(total, total + 12), total + 1000]:
+                    _unit_insert(unit, bounds, a - grown)
+                    grown = a
+                    placed = _placement(a, seqs, bounds)
+                    assert _insert_raw(a, seqs, bounds) == list(map(tuple, unit)), (seqs, bounds, a)
+                    assert _select_raw(unit, bounds) == (
+                        [j + 1 for j, _ in placed], [v for _, v in placed]
+                    ), (seqs, bounds, a)
+                    n += 1
+    assert n > 150000
 
 
 def test_insert_underflow():
@@ -138,6 +177,23 @@ def test_iterate_remove_matches_unit_removals():
                 assert iterate_remove(start, len(totals)) == (nu, rest)
 
 
+def test_iterate_remove_matches_unit_removals_on_bounded_sequences():
+    # the one-pass-per-level removal against one remove_selected per step,
+    # on every sequence of at most 4 partitions with total size <= 5 and
+    # bounds <= 3, for every t up to one past the number of parts
+    for k in range(1, 5):
+        for bounds in product(range(4), repeat=k - 1):
+            for seqs in _bounded_sequences(k, bounds, 5):
+                rest = seq(seqs, bounds)
+                totals = []
+                for t in range(sum(map(len, seqs)) + 2):
+                    assert iterate_remove(seq(seqs, bounds), t) == (
+                        tuple(x for x in totals if x), rest
+                    ), (seqs, bounds, t)
+                    trace, rest = remove_selected(rest)
+                    totals.append(trace.total)
+
+
 def test_iterate_remove_matches_conjugation_columns():
     # stripping the sides of the 4-square worked example records exactly
     # the columns that end up below the squares of its conjugated image
@@ -190,3 +246,32 @@ def test_round_trip_random(parts_lists, raw_bounds, slack):
     tr, back = remove_selected(insert(a, s))
     assert tr.total == a
     assert back.partitions == s.partitions
+
+
+@st.composite
+def huge_bound_sequences(draw):
+    k = draw(st.integers(1, 4))
+    bounds = draw(st.lists(st.integers(10**6, 10**12), min_size=k - 1, max_size=k - 1))
+    caps = [10**12, *bounds]
+    parts = [
+        tuple(sorted(draw(st.lists(st.integers(1, cap), max_size=5)), reverse=True))
+        for cap in caps
+    ]
+    return PartitionSequence(tuple(P(t) for t in parts), tuple(bounds))
+
+
+@given(huge_bound_sequences(), st.integers(0, 10**13))
+def test_round_trip_huge_bounds(s, slack):
+    # one part, possibly of size 0, added to each partition, with total a;
+    # removing the selection gives the input back
+    a = select(s).total + slack
+    out = insert(a, s)
+    added = 0
+    for before, after in zip(s.partitions, out.partitions):
+        new = Counter(after.parts) - Counter(before.parts)
+        assert sum(new.values()) == len(after) - len(before) <= 1
+        added += sum(new.elements())
+    assert added == a
+    tr, back = remove_selected(out)
+    assert tr.total == a
+    assert back == s
