@@ -8,11 +8,10 @@ working lists once, runs its N_k removals as one pass per level, places
 every column it puts back against the residue and merges them in once per
 level.  ``gen_dyson`` and ``gen_dyson_inverse`` take the selection walk
 that ``_rank_raw`` already made, for the a >= A check and for the removal,
-so each walks its selection once.  Every removal is followed by an O(k)
-check that each side partition still fits its width gap, and every placed
-part is checked against its neighbours and its bound; a failure raises
-InternalInvariantViolation.  The image is reassembled by ``_compose_raw``,
-whose greedy-maximality check is O(k).
+so each walks its selection once.  Every placed part is checked against
+its neighbours and its bound; a failure raises InternalInvariantViolation.
+The image is reassembled by ``_compose_raw``, whose greedy-maximality
+check is O(k).
 """
 
 from __future__ import annotations
@@ -27,14 +26,7 @@ from .errors import (
 )
 from .partition import Partition, _check_ints, _conjugate_parts, _refuse_parts
 from .rank import _rank_raw, dyson_rank
-from .select_insert import (
-    _check_bounds,
-    _insert_raw,
-    _placement,
-    _remove_iterated,
-    _remove_raw,
-    _select_raw,
-)
+from .select_insert import _insert_raw, _placement, _remove_iterated, _remove_raw, _select_raw
 
 
 def dyson_map(lam: Partition, r: int) -> Partition:
@@ -110,18 +102,11 @@ def gen_dyson(lam: Partition, k: int, m: int, r: int) -> Partition:
     if rank > -r:
         raise RankTooLarge(f"(k,m)-rank {rank} > {-r}")
 
-    def where():
-        return f"{lam.text()}, k={k}, m={m}, r={r}"
-
     # rank <= -r is the a >= A of this insertion
     new_sides = _insert_raw(t - r, sides, _gaps(widths))
     beta = tuple([x - 1 for x in below if x > 1])
+    # w >= 1 and w + m >= 1, so every image height (w - 1) + (m + 2) is >= 2
     new_widths = tuple([w - 1 for w in widths])
-    for w in new_widths:
-        if w + (m + 2) < 1:
-            raise InternalInvariantViolation(
-                f"image rectangle would have height < 1: {where()}"
-            )
     return Partition._fromparts(
         _compose_raw(m + 2, k, new_widths, tuple(new_sides), beta)
     )
@@ -161,16 +146,12 @@ def gen_dyson_inverse(mu: Partition, k: int, m: int, r: int) -> Partition:
         return f"{mu.text()}, k={k}, m={m}, r={r}"
 
     residue = _remove_raw(sides, rows)
-    _check_bounds(residue, _gaps(widths), where)
     removed = sum(map(sum, sides)) - sum(map(sum, residue))
     if removed != a:
         raise InternalInvariantViolation(
             f"removal total {removed} disagrees with selection total {a}: {where()}"
         )
-    if len(below) > t:
-        raise InternalInvariantViolation(
-            f"below-partition taller than restored column of {t}: {where()}"
-        )
+    # rank >= -r is len(below) <= t: the restored column covers every row below
     alpha = tuple([x + 1 for x in below]) + (1,) * (t - len(below))
     new_widths = tuple([w + 1 for w in widths])
     return Partition._fromparts(_compose_raw(m, k, new_widths, tuple(residue), alpha))

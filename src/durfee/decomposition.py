@@ -30,11 +30,7 @@ from __future__ import annotations
 from operator import lt, sub
 from typing import NamedTuple
 
-from .errors import (
-    InternalInvariantViolation,
-    InvalidDecomposition,
-    NoSuchDecomposition,
-)
+from .errors import InvalidDecomposition, NoSuchDecomposition
 from .partition import _EMPTY, Partition, _check_ints, _parts_text, _refuse_parts
 
 
@@ -122,32 +118,9 @@ def _decompose_raw(ps: tuple[int, ...], k: int, m: int):
             # part: this rectangle takes every row left, and every later one is empty
             sides.append(ps[start:])
             break
-        end = off
-        if end > ell:
-            raise InternalInvariantViolation(
-                f"rectangle {i + 1} of width {w} runs past the last part: "
-                f"{_parts_text(ps)}, k={k}, m={m}"
-            )
-        if start < end and ps[end - 1] < w:
-            j = next(j for j in range(start + 1, end + 1) if ps[j - 1] < w)
-            raise InternalInvariantViolation(
-                f"row {j} of rectangle {i + 1} is narrower than its width {w}: "
-                f"{_parts_text(ps)}, k={k}, m={m}"
-            )
-        sides.append(tuple([x - w for x in ps[start:end] if x > w]))
+        # maximal w: rows start..off-1 exist and are >= w; row off (next side or alpha) is <= w
+        sides.append(tuple([x - w for x in ps[start:off] if x > w]))
     below = ps[off:]
-    # bound checks: guaranteed by maximality of the greedy widths
-    for i in range(1, len(sides)):
-        side = sides[i]
-        if side and side[0] > widths[i - 1] - widths[i]:
-            raise InternalInvariantViolation(
-                f"side partition {i + 1} exceeds its width gap "
-                f"{widths[i - 1] - widths[i]}: {_parts_text(ps)}, k={k}, m={m}"
-            )
-    if below and below[0] > widths[-1]:
-        raise InternalInvariantViolation(
-            f"below-partition wider than last rectangle: {_parts_text(ps)}, k={k}, m={m}"
-        )
     rest = k - len(widths)
     return tuple(widths) + (0,) * rest, tuple(sides) + ((),) * rest, below
 

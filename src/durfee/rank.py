@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .decomposition import _compose_raw, _decompose_raw, _gaps, _live
-from .errors import EmptyPartition, InternalInvariantViolation
+from .errors import EmptyPartition
 from .partition import Partition, _conjugate_parts
 from .select_insert import _select_raw
 
@@ -58,13 +58,8 @@ def _rank_raw(ps: tuple[int, ...], k: int, m: int):
     # past a zero-width rectangle (so n_k = 0) every side is empty, with gap 0:
     # the walk enters each at row 1, selects part 0 there and leaves at row 1
     live = k if n_k else _live(widths)
+    # row j_i = 1 + P_i - s_i <= 1 + N_i - N_k: selection never leaves rectangle i
     rows, parts = _select_raw(sides[:live], _gaps(widths[:live]))
-    for i, j in enumerate(rows):
-        # selection never reaches below rectangle i: j <= 1 + N_i - N_k <= N_i + m
-        if j > 1 + widths[i] - n_k:
-            raise InternalInvariantViolation(
-                f"selected row {j} in side {i + 1} exceeds 1 + N_i - N_k"
-            )
     if live < k:
         rows += [1] * (k - live)
         parts += [0] * (k - live)

@@ -37,7 +37,8 @@ from .partition import Partition, _check_ints
 class PartitionSequence:
     """k partitions with bounds p_2..p_k; requires largest(lambda^i) <= p_i.
 
-    Instances are immutable and hashable.
+    Members must be Partitions and bounds ints (a bool is not), or TypeError.
+    Both are stored as tuples: instances are immutable and hashable.
     """
 
     __slots__ = ("partitions", "bounds")
@@ -46,12 +47,18 @@ class PartitionSequence:
     bounds: tuple[int, ...]
 
     def __init__(self, partitions: tuple[Partition, ...], bounds: tuple[int, ...]):
+        partitions, bounds = tuple(partitions), tuple(bounds)
         k = len(partitions)
         if k < 1:
             raise ValueError("a sequence needs at least one partition")
         if len(bounds) != k - 1:
             raise ValueError(f"expected {k - 1} bounds for {k} partitions")
+        for i, lam in enumerate(partitions, 1):
+            if not isinstance(lam, Partition):
+                raise TypeError(f"partition {i} must be a Partition, got {lam!r}")
         for i, p in enumerate(bounds):
+            if type(p) is not int:  # the cheap test; the helper names the culprit
+                _check_ints(**{f"bound p_{i + 2}": p})
             if p < 0:
                 raise ValueError("bounds must be non-negative")
             if partitions[i + 1].largest > p:
@@ -227,9 +234,9 @@ def _remove_iterated(work, bounds, t, where):
     from the levels below, so the steps run as one ``_remove_pass`` per
     level, from lambda^k up.  Each nonzero total deletes a part, so there
     are at most as many nonzero totals as parts, whatever t; a total of 0
-    means every selected row was virtual, and so is every later one.  The
-    O(k) bound check runs once at the end; ``where()`` names the input in
-    the InternalInvariantViolation it raises.
+    means every selected row was virtual, and so is every later one.
+    ``where()`` names the input in the InternalInvariantViolation that
+    ``_remove_pass`` raises.
     """
     totals = [0] * min(t, sum(map(len, work)))
     rest = 0  # P_i
@@ -237,18 +244,7 @@ def _remove_iterated(work, bounds, t, where):
         _remove_pass(work[i], rest, totals, where)
         if i:
             rest += bounds[i - 1]
-    _check_bounds(work, bounds, where)
     return totals[: totals.index(0)] if 0 in totals else totals
-
-
-def _check_bounds(seqs, bounds, where):
-    """Raise InternalInvariantViolation unless largest(lambda^i) <= p_i."""
-    for i, p in enumerate(bounds, 1):
-        s = seqs[i]
-        if s and s[0] > p:
-            raise InternalInvariantViolation(
-                f"partition {i + 1} has largest part {s[0]} > bound {p}: {where()}"
-            )
 
 
 # ---------------------------------------------------------------------------

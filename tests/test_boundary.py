@@ -177,6 +177,11 @@ CALLS = [
     case(rank_km, LAM, KMAX, 1),
     # insertion into three partitions under bounds of 10^12, answered
     case(insert, 10 * BIG, PartitionSequence((EMPTY,) * 3, (BIG, BIG))),
+    # sequences whose bounds or members are not ints or Partitions, and list arguments
+    case(PartitionSequence, (WIDE, Partition([BIG])), (float(BIG),)),
+    case(PartitionSequence, (WIDE, Partition([BIG])), (True,)),
+    case(PartitionSequence, ((BIG, 1), (BIG,)), (BIG,)),
+    case(PartitionSequence, [WIDE, Partition([BIG])], [BIG]),
 ]
 
 

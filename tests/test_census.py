@@ -106,6 +106,8 @@ def test_census_matches_dyson_rank_counts():
     for n in (1, 2, 5, 10, 50, 200, 300, 600):
         want = {r: c for r in range(-n, n + 1) if (c := dyson_count(r, n))}
         assert census(n, 1, 0).rows == want, n
+        # k = 1: the (1,1)-rank is the Dyson rank plus one
+        assert census(n, 1, 1).rows == {r + 1: c for r, c in want.items()}, n
     assert max(want.values()).bit_length() == 73
 
 

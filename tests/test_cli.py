@@ -273,6 +273,31 @@ def test_import_graph_is_acyclic():
     assert proc.stdout.split() == ["False", "True"]
 
 
+def test_every_imported_name_is_used():
+    # an import no code reads is left over from deleted code; the package
+    # re-exports its names through __all__, which counts as a read
+    unused = {}
+    for path in Path(cli.__file__).resolve().parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        nodes = list(ast.walk(tree))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in nodes
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in nodes if isinstance(node, ast.Name)}
+        for node in nodes:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                read |= set(ast.literal_eval(node.value))
+        if imported - read:
+            unused[path.stem] = sorted(imported - read)
+    assert unused == {}
+
+
 def test_closed_pipe_exits_without_traceback(tmp_path):
     # the reader takes one line and goes; with far more output than a pipe
     # buffers, the next write fails, and the CLI must exit without a traceback

@@ -135,6 +135,18 @@ def test_sequence_validation():
         seq([[1]], [2])  # bounds length mismatch
     with pytest.raises(ValueError):
         PartitionSequence((), ())
+    two = (P([2]), P([1]))
+    # a float or bool bound would give insert non-int parts (3.5 from 1.5)
+    for bound in (1.5, 2.0, True):
+        with pytest.raises(TypeError, match=f"bound p_2 must be an int, got {bound!r}"):
+            PartitionSequence(two, (bound,))
+    with pytest.raises(TypeError, match=r"partition 1 must be a Partition, got \(2,\)"):
+        PartitionSequence(((2,), (1,)), (1,))
+    # list arguments are stored as tuples, so the sequence hashes
+    listed = PartitionSequence(list(two), [1])
+    assert (listed.partitions, listed.bounds) == (two, (1,))
+    assert hash(listed) == hash(PartitionSequence(two, (1,)))
+    assert insert(5, listed).part_tuples() == ((4, 2), (1, 1))
 
 
 def test_iterate_remove_totals():
