@@ -10,24 +10,18 @@ single implementation of both directions.  ``decompose`` and ``compose``
 wrap them and build the ``Partition`` objects; the rank statistics and the
 bijections call the raw helpers and build objects only for their result.
 
-``_compose_raw`` confirms that its widths are greedy-maximal in O(k), not
-by decomposing the rows again.  Rows inside rectangle i are N_i plus a
-side part, so all are >= N_i, and the greedy walk, at the same offset
-o_{i-1} as the assembly, extends every width below N_i and stops at N_i
-exactly when the row just past the rectangle is missing or <= N_i.  After
-a width-0 rectangle every later width is 0 and only that rectangle's side
-rows (at most m of them) follow, so the offsets, which the greedy walk
-advances by N_i + m, still agree wherever a row exists.  The walk over k
-such rows therefore gives the same verdict as the full decomposition; on
-failure the full decomposition runs once, to name the greedy widths in
-the InvalidDecomposition message.  (Rows past a rectangle are bounded by
-the next side's gap, or by the below-partition's first part, which the
-structural checks already enforce, so the check is a guard.)
+Every tuple ``_validate`` accepts decomposes exactly one partition, the
+rows ``_compose_raw`` assembles, so nothing is checked after assembly.
+Rows inside rectangle i are N_i plus a side part, or N_i; the row just past
+it starts side i + 1, at most N_{i+1} + (N_i - N_{i+1}) = N_i, or alpha, at
+most N_k.  So the rows weakly decrease, and the greedy walk from the same
+offset grows through the rectangle and stops at N_i.  A width-0 rectangle
+holds only its side, at most m rows, and every later region is empty.
 """
 
 from __future__ import annotations
 
-from operator import lt, sub
+from operator import sub
 from typing import NamedTuple
 
 from .errors import InvalidDecomposition, NoSuchDecomposition
@@ -128,10 +122,10 @@ def _decompose_raw(ps: tuple[int, ...], k: int, m: int):
 def compose(d: DurfeeDecomposition) -> Partition:
     """Reassemble a partition from a decomposition; inverse of decompose.
 
-    Raises InvalidDecomposition unless all structural invariants hold and
-    the result decomposes back to the same widths (greedy maximality), and
-    ImpracticalOrder, before any row is built, when the result would have
-    more than MAX_PARTS parts.
+    Raises InvalidDecomposition exactly when a structural invariant fails
+    (``_validate``; every other decomposition is that of its rows, see the
+    module docstring), and ImpracticalOrder, before any row is built, when
+    the result would have more than MAX_PARTS parts.
     """
     sides = tuple(side.parts for side in d.sides)
     return Partition._fromparts(_compose_raw(d.m, d.k, d.widths, sides, d.below.parts))
@@ -143,41 +137,14 @@ def _compose_raw(m, k, widths, sides, below) -> tuple[int, ...]:
     # a width-0 rectangle adds only its side's rows, whatever m
     heights = [w + m if w else len(side) for w, side in zip(widths, sides)]
     _refuse_parts(sum(heights) + len(below), "composed partition".format)
+    if m >= 1:  # as in decompose
+        _refuse_parts(k, "a decomposition into {} {}-Durfee rectangles".format, k, m, unit="widths")
     rows = []
     for w, side, height in zip(widths, sides, heights):
-        if w:
-            rows += [w + x for x in side]
-            rows += [w] * (height - len(side))
-        else:
-            rows += side
+        rows += [w + x for x in side]
+        rows += [w] * (height - len(side))
     rows += below
-    if any(map(lt, rows, rows[1:])):
-        raise InvalidDecomposition("assembled rows are not weakly decreasing")
-    rows = tuple(rows)
-    if m >= 1:  # as in decompose, which the maximality check stands for
-        _refuse_parts(k, "a decomposition into {} {}-Durfee rectangles".format, k, m, unit="widths")
-    if not _widths_maximal(rows, m, widths):
-        redo = _decompose_raw(rows, k, m)[0]
-        raise InvalidDecomposition(
-            f"widths {widths} are not maximal for {_parts_text(rows)} (greedy gives {redo})"
-        )
-    return rows
-
-
-def _widths_maximal(rows, m, widths) -> bool:
-    """Whether the greedy walk over ``rows`` stops at every width, in O(k).
-
-    Requires every rectangle of positive width to lie inside the rows, each
-    of its rows >= its width (see the module docstring).  The row just past
-    rectangle i has 0-based index o_i = o_{i-1} + N_i + m.
-    """
-    ell = len(rows)
-    off = 0
-    for w in widths:
-        off += w + m
-        if off < ell and rows[off] > w:
-            return False
-    return True
+    return tuple(rows)
 
 
 def profile(d: DurfeeDecomposition) -> tuple[int, ...]:

@@ -546,13 +546,27 @@ def _rank_rows(k: int, m: int, order: int, levels: list, passes: list) -> tuple:
 
 
 def _rank_row(n: int, k: int, m: int) -> tuple[int, ...]:
-    """Counts of the ranks -n..n for n, rank r at index n + r (cached, shared)."""
+    """Counts of the ranks -n..n for n, rank r at index n + r (cached, shared).
+
+    The series is read to n rounded up to a multiple of ``_ORDER_STEP``.
+    Where that order passes the cost cap, it is read to the widest order in
+    n .. padded - 1 whose plan fits, so a sweep up to the cap builds one
+    series, not one per n; if none fits, order n refuses.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
+    hi = -(-max(n, 1) // _ORDER_STEP) * _ORDER_STEP
     try:
-        series = _rank_series(k, m, -(-max(n, 1) // _ORDER_STEP) * _ORDER_STEP)
+        series = _rank_series(k, m, hi)
     except ImpracticalOrder:
-        series = _rank_series(k, m, n)  # padding must not push an n below the cap over it
+        lo = n  # n or an order that fits; hi is refused
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if max(_series_plan(k, m, mid)[0]) <= MAX_SERIES_COST:
+                lo = mid
+            else:
+                hi = mid
+        series = _rank_series(k, m, lo)
     return series[n]
 
 

@@ -13,7 +13,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .bijections import dyson_map, gen_conjugate, gen_dyson, gen_dyson_inverse
-from .decomposition import DurfeeDecomposition, _widths_maximal, compose, decompose, profile
+from .decomposition import DurfeeDecomposition, compose, decompose, profile
 from .errors import InternalInvariantViolation, NoSuchDecomposition
 from .partition import (
     Partition,
@@ -325,6 +325,25 @@ def partition_invariants() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # Decomposition invariants.
 # ---------------------------------------------------------------------------
+
+
+def _widths_maximal(rows, m, widths) -> bool:
+    """Whether the greedy walk over ``rows`` stops at every width, in O(k).
+
+    Requires every rectangle of positive width to lie inside the rows, each
+    of its rows >= its width: the walk, at the same offset, then grows
+    through each rectangle and stops at N_i exactly when the row just past
+    it, 0-based index o_i = o_{i-1} + N_i + m, is missing or <= N_i.  At
+    N_i = 0 that row is the last of a width-1 rectangle, so any row there
+    fits one.
+    """
+    ell = len(rows)
+    off = 0
+    for w in widths:
+        off += w + m
+        if off < ell and rows[off] > w:
+            return False
+    return True
 
 
 def decomposition_invariants() -> list[CheckResult]:

@@ -157,6 +157,22 @@ def test_series_cache_hit_runs_no_cost_estimate(monkeypatch):
     assert estimates == [(2, 3, 32)]
 
 
+def test_near_cap_sweep_builds_one_series():
+    # padded to 800 these orders pass the cap (793 at k = 3): each n reads the
+    # widest order that fits, not a series of its own
+    qseries_module._rank_series.cache_clear()
+    t = time.perf_counter()
+    for n in range(769, 794):
+        census(n, 3, 0)
+    assert time.perf_counter() - t < 1
+    assert qseries_module._rank_series.cache_info().currsize == 1
+    # one past the cap, order n itself is refused
+    with pytest.raises(ImpracticalOrder, match=(
+            r"^rank series k=3 m=0 to order 794 needs at least 20022011"
+            r" coefficient additions \(cap 20000000\); refusing$")):
+        census(794, 3, 0)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_cost_estimates_count_every_addition(monkeypatch, k):
     count = [0]

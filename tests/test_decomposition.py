@@ -1,8 +1,11 @@
 import random
 import time
+from itertools import product
 from operator import lt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from durfee import (
     DurfeeDecomposition,
@@ -13,7 +16,7 @@ from durfee import (
     partitions_of,
     profile,
 )
-from durfee.decomposition import _compose_raw, _decompose_raw, _validate, _widths_maximal
+from durfee.decomposition import _compose_raw, _decompose_raw, _validate
 from durfee.errors import (
     DurfeeError,
     ImpracticalOrder,
@@ -21,6 +24,7 @@ from durfee.errors import (
     NoSuchDecomposition,
 )
 from durfee.partition import MAX_PARTS, _parts_text
+from durfee.selftest import _widths_maximal
 
 P = Partition
 BIG = P([7, 7, 6, 6, 5, 4, 3, 3, 3, 2, 1, 1, 1, 1, 1])
@@ -68,11 +72,16 @@ def test_compose_rejects_bad_input():
     with pytest.raises(InvalidDecomposition):
         # zero-width rectangle of non-positive height
         compose(DurfeeDecomposition(0, 1, (0,), (P([]),), P([])))
+    # k, widths and sides of different lengths, or k = 0
+    for k, widths, sides in ((2, (1,), (P([]),)), (2, (1, 1), (P([]),)), (0, (), ())):
+        with pytest.raises(InvalidDecomposition, match="^k, widths and sides are inconsistent$"):
+            compose(DurfeeDecomposition(0, k, widths, sides, P([])))
 
 
 def test_compose_rejects_non_maximal_widths():
-    # (4,4) decomposes greedily with first square 2, not 1
-    with pytest.raises(InvalidDecomposition):
+    # (4,4) decomposes greedily with first square 2, not 1; cut at widths
+    # (1, 1), its second side is wider than the gap 0
+    with pytest.raises(InvalidDecomposition, match="^side partition 2 is too wide$"):
         compose(DurfeeDecomposition(0, 2, (1, 1), (P([3]), P([3])), P([])))
 
 
@@ -119,7 +128,8 @@ def test_json_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# compose's O(k) maximality check against the full re-decomposition
+# compose against the full re-decomposition, and the round trip of every
+# tuple _validate accepts
 # ---------------------------------------------------------------------------
 
 
@@ -219,6 +229,123 @@ def test_maximality_check_matches_greedy_walk():
                         assert _widths_maximal(rows, m, widths) == greedy, (rows, k, m, widths)
                         verdicts[greedy] += 1
     assert min(verdicts.values()) > 1000
+
+
+def _cut(rows, m, widths):
+    """(sides, below) of ``rows`` cut at ``widths``, greedy or not, as
+    ``_decompose_raw`` cuts at its own: a positive width takes its w + m
+    rows less w cells each, a zero width every row left."""
+    sides = []
+    off = 0
+    for w in widths:
+        if not w:
+            sides += [rows[off:]] + [()] * (len(widths) - len(sides) - 1)
+            return tuple(sides), ()
+        sides.append(tuple(x - w for x in rows[off:off + w + m] if x > w))
+        off += w + m
+    return tuple(sides), rows[off:]
+
+
+def test_non_greedy_widths_fail_validate():
+    # the contrapositive of the round trip below: cut at any other fitting
+    # widths, the row just past a rectangle lands in a side wider than its
+    # gap or below a last rectangle narrower than it, or a zero-width
+    # rectangle keeps more than m rows
+    rejected = 0
+    for n in range(15):
+        for lam in partitions_of(n):
+            rows = lam.parts
+            for k in (1, 2, 3):
+                for m in range(-2, 3):
+                    try:
+                        greedy = _decompose_raw(rows, k, m)[0]
+                    except NoSuchDecomposition:
+                        greedy = None
+                    for widths in _fitting_widths(rows, k, m):
+                        if widths != greedy:
+                            sides, below = _cut(rows, m, widths)
+                            with pytest.raises(InvalidDecomposition):
+                                _validate(m, k, widths, sides, below)
+                            rejected += 1
+    assert rejected > 1000
+
+
+def _accepts(m, k, widths, sides, below):
+    return _outcome(_validate, m, k, widths, sides, below)[0] is None
+
+
+def _accepted(k, m, width_range, parts):
+    """Every (widths, sides, below) ``_validate`` accepts with widths from
+    ``width_range`` and each side and below from ``parts``.  ``_validate``
+    is a conjunction of conditions on the widths, on each side given the
+    widths and on below given the widths, so the accepted tuples are the
+    product of each component's accepted choices."""
+    empty = ((),) * k
+    for widths in product(width_range, repeat=k):
+        if not _accepts(m, k, widths, empty, ()):
+            continue
+        choices = [
+            [s for s in parts if _accepts(m, k, widths, empty[:i] + (s,) + empty[i + 1:], ())]
+            for i in range(k)
+        ]
+        belows = [b for b in parts if _accepts(m, k, widths, empty, b)]
+        for sides in product(*choices):
+            for below in belows:
+                yield widths, sides, below
+
+
+def _round_trips(m, k, widths, sides, below):
+    return _decompose_raw(_compose_raw(m, k, widths, sides, below), k, m) == (widths, sides, below)
+
+
+def test_every_validated_tuple_round_trips():
+    # k <= 3, m in -2..2, widths 0..3, sides and below every partition of
+    # size <= 4: 6,776,640 tuples, of which _validate accepts 16,122
+    parts = [lam.parts for n in range(5) for lam in partitions_of(n)]
+    accepted = 0
+    for k in (1, 2, 3):
+        for m in range(-2, 3):
+            for widths, sides, below in _accepted(k, m, range(4), parts):
+                assert _round_trips(m, k, widths, sides, below), (m, k, widths, sides, below)
+                accepted += 1
+    assert accepted == 16122
+    # the product rule of _accepted against _validate on whole tuples
+    rng = random.Random(20062)
+    for _ in range(20000):
+        k = rng.randint(1, 3)
+        m = rng.randint(-2, 2)
+        widths = tuple(rng.randrange(4) for _ in range(k))
+        sides = tuple(rng.choice(parts) for _ in range(k))
+        below = rng.choice(parts)
+        empty = ((),) * k
+        alone = [_accepts(m, k, widths, empty, ()), _accepts(m, k, widths, empty, below)]
+        alone += [_accepts(m, k, widths, empty[:i] + (s,) + empty[i + 1:], ()) for i, s in enumerate(sides)]
+        assert _accepts(m, k, widths, sides, below) == all(alone)
+
+
+@st.composite
+def _validated(draw):
+    # a tuple inside every bound _validate checks: k <= 4, m in -3..3, widths <= 6
+    k = draw(st.integers(1, 4))
+    m = draw(st.integers(-3, 3))
+    widths = tuple(sorted(draw(st.lists(st.integers(max(0, 1 - m), 6), min_size=k, max_size=k)),
+                          reverse=True))
+
+    def part(max_len, max_part):
+        if max_len < 1 or max_part < 1:
+            return ()
+        xs = draw(st.lists(st.integers(1, max_part), max_size=max_len))
+        return tuple(sorted(xs, reverse=True))
+
+    sides = tuple(part(w + m, widths[i - 1] - w if i else 6) for i, w in enumerate(widths))
+    return m, k, widths, sides, part(6, widths[-1])
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_validated())
+def test_validated_tuples_round_trip_fuzzed(t):
+    _validate(*t)
+    assert _round_trips(*t)
 
 
 def _fitting_widths(rows, k, m):
