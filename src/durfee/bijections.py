@@ -10,8 +10,8 @@ level.  ``gen_dyson`` and ``gen_dyson_inverse`` take the selection walk
 that ``_rank_raw`` already made, for the a >= A check and for the removal,
 so each walks its selection once.  Every placed part is checked against
 its neighbours and its bound; a failure raises InternalInvariantViolation.
-The image is reassembled by ``_compose_raw``, whose greedy-maximality
-check is O(k).
+The image is reassembled by ``_compose_raw``, which checks it with
+``_validate`` and the parts budget.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ only as the census oracle: the ``census`` selftest suite compares the two.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from collections import Counter
-from functools import lru_cache
 from itertools import accumulate, chain
 from operator import add, neg, sub
 from typing import NamedTuple
@@ -395,8 +395,7 @@ def q_table(k: int, N: int) -> list[int]:
     return _build(f"multisum k={k + 1} to order {N}", _multisum(k + 1, None, N))[0]
 
 
-# census and h_count of n read the series to n rounded up to this step, so
-# a sweep over n computes one series per (k, m) and step.
+# a census table is built to n rounded up to this step (see _census_rows)
 _ORDER_STEP = 32
 
 
@@ -463,12 +462,9 @@ def _unpack_row(row: int, slots: int, words: int) -> tuple[int, ...]:
     return tuple(cells)
 
 
-# Bounded in entries, not bytes (sizes in the docstring); census, h_count and h_census_series
-# (so verify h_closed_form) share it.  32 hold the census suite's k <= 3, m in -2..4 at one order.
-@lru_cache(maxsize=32)
 def _rank_series(k: int, m: int, order: int) -> tuple[tuple[int, ...], ...]:
-    """Counts of (k,m)-rank values for every n <= order; one entry holds
-    13.2 MB by tracemalloc at k = 1, order 600, and 23.8 MB at k = 3, order 792.
+    """Counts of (k,m)-rank values for every n <= order, uncached; one series
+    holds 13.2 MB by tracemalloc at k = 1, order 600, and 23.8 MB at k = 3, order 792.
 
     Row n holds the ranks -n..n, rank r at index n + r: the coefficient of
     q^n z^r in
@@ -545,29 +541,36 @@ def _rank_rows(k: int, m: int, order: int, levels: list, passes: list) -> tuple:
     return tuple(rows)
 
 
-def _rank_row(n: int, k: int, m: int) -> tuple[int, ...]:
-    """Counts of the ranks -n..n for n, rank r at index n + r (cached, shared).
+# (k, m) -> the rows of the widest rank series built for it; the pair read last is last
+_tables: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 
-    The series is read to n rounded up to a multiple of ``_ORDER_STEP``.
-    Where that order passes the cost cap, it is read to the widest order in
-    n .. padded - 1 whose plan fits, so a sweep up to the cap builds one
-    series, not one per n; if none fits, order n refuses.
+
+def _census_rows(k: int, m: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The census table of (k, m), rank r of row n at index n + r, with a
+    row for n at least: every census reader reads a prefix of it.
+
+    Past its table, a (k, m) drops it and is built to n rounded up to a
+    multiple of ``_ORDER_STEP``; where that order passes the cost cap, to
+    the widest order from n whose plan fits, and if none fits, order n
+    refuses and the pair has no table.  Tables are kept for the 32 pairs
+    read most recently (about 24 MB each near the cap).
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    hi = -(-max(n, 1) // _ORDER_STEP) * _ORDER_STEP
-    try:
-        series = _rank_series(k, m, hi)
-    except ImpracticalOrder:
-        lo = n  # n or an order that fits; hi is refused
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if max(_series_plan(k, m, mid)[0]) <= MAX_SERIES_COST:
-                lo = mid
-            else:
-                hi = mid
-        series = _rank_series(k, m, lo)
-    return series[n]
+    rows = _tables.pop((k, m), ())
+    if n >= len(rows):
+        rows = ()  # freed before the wider table is built
+        hi = -(-max(n, 1) // _ORDER_STEP) * _ORDER_STEP
+        try:
+            rows = _rank_series(k, m, hi)
+        except ImpracticalOrder:  # the orders n + 1 .. hi - 1 that fit come first
+            fit = bisect_left(range(n + 1, hi), True,
+                              key=lambda o: max(_series_plan(k, m, o)[0]) > MAX_SERIES_COST)
+            rows = _rank_series(k, m, n + fit)
+    _tables[k, m] = rows
+    if len(_tables) > 32:
+        del _tables[next(iter(_tables))]
+    return rows
 
 
 def rank_census(n: int, k: int, m: int) -> Counter:
@@ -586,7 +589,7 @@ def census(n: int, k: int, m: int = 0) -> CensusTable:
     """
     if not (type(n) is type(k) is type(m) is int):  # the cheap test; the helper names the culprit
         _check_ints(n=n, k=k, m=m)
-    return CensusTable(n, k, m, {r: c for r, c in enumerate(_rank_row(n, k, m), -n) if c})
+    return CensusTable(n, k, m, {r: c for r, c in enumerate(_census_rows(k, m, n)[n], -n) if c})
 
 
 def h_count(n: int, k: int, m: int, r: int, mode: str) -> int:
@@ -599,7 +602,7 @@ def h_count(n: int, k: int, m: int, r: int, mode: str) -> int:
         raise ValueError("k must be positive")
     if n < 0:
         return 0
-    return _h(_rank_row(n, k, m), r, mode)
+    return _h(_census_rows(k, m, n)[n], r, mode)
 
 
 def _h(row: tuple[int, ...], r: int, mode: str) -> int:
@@ -616,8 +619,9 @@ def h_census_series(k: int, m: int, r: int, mode: str, order: int) -> QSeries:
     """Generating function of rank-census counts, one coefficient per n.
 
     mode 'le' counts partitions with (k,m)-rank <= r, mode 'ge' with
-    rank >= r.  Read off the census engine's cached bivariate rank series,
-    which ``verify h_closed_form`` shares, and refused at that series' price:
+    rank >= r.  Read off a prefix of the census table of (k, m), which
+    ``census`` and ``verify h_closed_form`` share, and refused at the price
+    of the rank series to ``order``:
     beyond order 644 for k = 1 and 793 for k = 3 at m = 0 (the comment on
     ``partition.MAX_SERIES_COST`` gives the time of a series at those caps).
     """
@@ -627,10 +631,12 @@ def h_census_series(k: int, m: int, r: int, mode: str, order: int) -> QSeries:
 
 
 def _h_census(k: int, m: int, r: int, mode: str, order: int):
-    # the plan of h_census_series, checked: priced as its rank series, run on the cached one
+    # the plan of h_census_series, checked: priced as its rank series, run on a prefix of the table
     if mode not in ("le", "ge"):
         raise ValueError("mode must be 'le' or 'ge'")
-    return _series_plan(k, m, order)[0], lambda: [_h(x, r, mode) for x in _rank_series(k, m, order)]
+    return _series_plan(k, m, order)[0], lambda: [
+        _h(x, r, mode) for x in _census_rows(k, m, order)[: order + 1]
+    ]
 
 
 def _theta(k: int, order: int):

@@ -143,13 +143,33 @@ def test_census_cost_does_not_grow_with_k():
     assert time.perf_counter() - t < 1
 
 
-def test_series_cache_hit_runs_no_cost_estimate(monkeypatch):
-    estimates = []
+@pytest.fixture
+def tables():
+    # the census tables start empty, and a near-cap table (about 24 MB) is not kept
+    qseries_module._tables.clear()
+    yield qseries_module._tables
+    qseries_module._tables.clear()
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    # the order of every rank series built, by the run every build goes through
+    orders = []
+    real = qseries_module._rank_rows
+    monkeypatch.setattr(qseries_module, "_rank_rows", lambda *a: orders.append(a[2]) or real(*a))
+    return orders
+
+
+@pytest.fixture
+def estimates(monkeypatch):
+    # the arguments of every cost estimate, from here on
+    calls = []
     real = qseries_module._series_plan
-    monkeypatch.setattr(
-        qseries_module, "_series_plan", lambda *a: estimates.append(a) or real(*a)
-    )
-    qseries_module._rank_series.cache_clear()
+    monkeypatch.setattr(qseries_module, "_series_plan", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_series_cache_hit_runs_no_cost_estimate(tables, estimates):
     for n in range(1, 33):
         census(n, 2, 3)
         rank_census(n, 2, 3)
@@ -157,20 +177,41 @@ def test_series_cache_hit_runs_no_cost_estimate(monkeypatch):
     assert estimates == [(2, 3, 32)]
 
 
-def test_near_cap_sweep_builds_one_series():
+def test_near_cap_sweep_builds_one_series(tables, builds):
     # padded to 800 these orders pass the cap (793 at k = 3): each n reads the
     # widest order that fits, not a series of its own
-    qseries_module._rank_series.cache_clear()
     t = time.perf_counter()
     for n in range(769, 794):
         census(n, 3, 0)
     assert time.perf_counter() - t < 1
-    assert qseries_module._rank_series.cache_info().currsize == 1
+    assert builds == [793]
+    assert len(tables) == 1
     # one past the cap, order n itself is refused
     with pytest.raises(ImpracticalOrder, match=(
             r"^rank series k=3 m=0 to order 794 needs at least 20022011"
             r" coefficient additions \(cap 20000000\); refusing$")):
         census(794, 3, 0)
+    assert tables == {}  # the narrower table was dropped before the refused build
+
+
+@pytest.mark.parametrize("k, cap", [(1, 644), (3, 793)])
+def test_sweep_to_the_cap_keeps_one_table(tables, builds, k, cap):
+    # one build per step of 32 and one at the cap, each replacing the last
+    for n in range(cap + 1):
+        census(n, k, 0)
+    assert builds == [*range(32, cap, 32), cap]
+    assert list(tables) == [(k, 0)]
+    assert tables[k, 0] == qseries_module._rank_series(k, 0, cap)
+
+
+def test_warm_near_cap_call_runs_no_plan(tables, estimates):
+    for n in range(769, 794):
+        census(n, 3, 0)
+    assert estimates  # the cold pass prices the padded order and bisects
+    estimates.clear()
+    for n in range(769, 794):
+        census(n, 3, 0)
+    assert estimates == []
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
@@ -215,6 +256,6 @@ def test_cost_estimates_count_every_addition(monkeypatch, k):
             assert count[0] == _levels_plan(k, exponent, 0, 0, order)[1], (a, order)
         for m in range(-2, 3):
             count[0] = 0
-            qseries_module._rank_series.__wrapped__(k, m, order)
+            qseries_module._rank_series(k, m, order)
             # with no term, only the zero rows are built: cells, no additions
             assert count[0] == qseries_module._series_plan(k, m, order)[0][1], (m, order)

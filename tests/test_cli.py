@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from durfee import cli
-from durfee.qseries import IDENTITIES, VerificationReport, _rank_series
+from durfee.qseries import IDENTITIES, VerificationReport, _tables
 from durfee.selftest import CheckResult, golden_examples
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -414,8 +414,8 @@ def test_cli_fuzz_exits_cleanly(argv):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
     finally:
-        # a near-cap rank series holds up to about 25 MB; keep at most one
-        _rank_series.cache_clear()
+        # a near-cap census table holds up to about 25 MB; keep none across examples
+        _tables.clear()
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
     if code in (1, 3):

@@ -452,18 +452,22 @@ def test_h_census_series_guards():
     assert le.coeffs[200] + ge.coeffs[200] == p_table(200)[200]
 
 
-def test_verify_h_closed_form_reads_the_cached_rank_series():
-    qseries._rank_series.cache_clear()
+def test_verify_h_closed_form_reads_the_cached_rank_series(monkeypatch):
+    builds = []
+    real = qseries._rank_rows
+    monkeypatch.setattr(qseries, "_rank_rows", lambda *a: builds.append(a[:3]) or real(*a))
+    qseries._tables.clear()
     h_census_series(2, 1, -2, "le", 40)
-    before = qseries._rank_series.cache_info()
+    assert builds == [(2, 1, 64)]
     assert verify_identity("h_closed_form", 40, k=2, m=1, r=2).ok
-    after = qseries._rank_series.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-    # the suite checks 10 (m, r) pairs per k at two orders: one series per
-    # (k, m, order), 3 * 3 * 2 of them
-    qseries._rank_series.cache_clear()
+    assert builds == [(2, 1, 64)]
+    # the suite checks 10 (m, r) pairs per k at orders 22 and 200: one table
+    # per (k, m) at each, 3 * 3 * 2 builds
+    qseries._tables.clear()
+    builds.clear()
     assert all(check.ok for check in selftest.qseries_suite())
-    assert qseries._rank_series.cache_info().misses == 18
+    assert len(builds) == 18
+    qseries._tables.clear()
 
 
 def test_verify_identity_reports():
