@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from itertools import chain, zip_longest
 from operator import add, lt, sub
 from typing import Iterator
@@ -20,9 +21,13 @@ MAX_PARTS = 1_000_000
 # additions) before allocating anything, and _build, the one place a series
 # is built, applies one rule to a series or to the two sides of a verify:
 # the summed cells and the summed additions must each stay within the cap.
+# A price never depends on what the process holds: p_table and inv_euler
+# read one shared p table (_p_values, about 10 MB at its cap, N = 69784)
+# and compute only what it lacks, but are priced as the full division, so
+# a call is refused, with the same text, warm or cold.
 # Measured at the caps on a 2-core VM (Python 3.11, best of 3 in process):
 # the census engine 0.13 s (order 644, k = 1) and 0.22 s (793, k = 3),
-# multisum_lhs 1.4 s (2354, large k), p_table(69784) 3.0 s, and the
+# multisum_lhs 1.4 s (2354, large k), p_table(69784) 3.0 s cold, and the
 # costliest verify at each identity's cap over k in {1, 2, 3, 5, 10}:
 # pentagonal 0.69 s (6324), schur 1.6 s (k = 2, 50804), rr 1.3 s (k = 5,
 # 4615), andrews 1.1 s (k = a = 10, 3753), jacobi 0.59 s (k = 1, 6324)
@@ -259,22 +264,48 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     s = MAX_PARTS.bit_length()
     top = min(n, s * (s + 3) // 2)
     more = "" if n == top else " or more"
-    _refuse_parts(p_table(top)[-1], "partitions_of({})".format, n, unit="partitions" + more)
+    _refuse_parts(_p_upto(top)[top], "partitions_of({})".format, n, unit="partitions" + more)
     return tuple(map(Partition._fromparts, _iter_partition_tuples(n)))
 
 
 def p_table(N: int) -> list[int]:
-    """Exact values p(0..N): 1 divided by (q)_inf, by ``_divide_by_euler``.
+    """Exact values p(0..N): a fresh copy of a prefix of the shared table.
 
-    Priced by ``_euler_price``: N + 1 cells and one addition per term of
-    Euler's recurrence, N + 1 - g for every generalized pentagonal g <= N,
-    about 1.09 N^1.5.  Past MAX_SERIES_COST (N > 69784) it raises
-    ImpracticalOrder before the table is allocated.
+    Priced as the full division of 1 by (q)_inf to q^N, ``_euler_price``:
+    N + 1 cells and one addition per term of Euler's recurrence, N + 1 - g
+    for every generalized pentagonal g <= N, about 1.09 N^1.5.  Only the
+    values past the table's end are computed, but the price is the same
+    warm or cold, so past MAX_SERIES_COST (N > 69784) it raises
+    ImpracticalOrder in any process, before anything is allocated.
     """
     _check_ints(N=N)
     if N < 0:
         raise ValueError("N must be non-negative")
-    return _build(f"p_table to {N}", _over_euler([(0, 1)], N))[0]
+    return _build(f"p_table to {N}", _p_plan(N))[0]
+
+
+# p(0..len - 1), the one p table of the process.  Only _p_upto grows it, from its end, and every
+# caller keeps it within p_table's cap: p_table and inv_euler price each growth as the full
+# division, and the census engine and partitions_of read orders far below the cap.  At the cap,
+# N = 69784, it holds about 10 MB.
+_p_values = [1]
+_p_growing = threading.Lock()  # two threads growing it at once would append the same tail twice
+
+
+def _p_upto(order: int) -> list[int]:
+    # the shared table with p(order) in it, grown by one division of the missing tail; callers
+    # read it and never write it
+    if order >= len(_p_values):
+        with _p_growing:
+            have = len(_p_values)
+            if order >= have:
+                _p_values.extend(_divide_by_euler(_p_values + [0] * (order + 1 - have), have)[have:])
+    return _p_values
+
+
+def _p_plan(order: int):
+    # the plan of p(0..order) as a fresh list, priced as the full division whatever is cached
+    return _euler_price(order), lambda: _p_upto(order)[: order + 1]
 
 
 def _tail(k: int, c: int, order: int) -> Iterator[tuple[int, int]]:
@@ -322,7 +353,7 @@ def _euler_price(order: int) -> tuple[int, int]:
 _BLOCK = 64
 
 
-def _divide_by_euler(cs: list[int]) -> list[int]:
+def _divide_by_euler(cs: list[int], start: int = 0) -> list[int]:
     """In place, cs becomes cs / (q)_inf modulo q^len(cs), by Euler's
     pentagonal recurrence c_n = cs_n + sum_{j >= 1} (-1)^(j-1) (c_(n-g_j)
     + c_(n-g_j-j)): (q)_inf = 1 - T_1(1) - T_1(0), so g_j = j(3j-1)/2 and
@@ -336,12 +367,16 @@ def _divide_by_euler(cs: list[int]) -> list[int]:
     so that an n < 57 reads a zero for each g > n.  Each term is one
     addition, so ``_euler_price(len(cs) - 1)`` counts them, plus at most
     273 additions of zero (the sum of the twelve g).  Returns cs.
+
+    From ``start`` on: cs[:start] already holds the quotient's first
+    coefficients, and only the later ones are divided, the blocks running
+    from ``start``.  The shared p table grows this way.
     """
     size = len(cs)
     terms = sorted(chain(_tail(1, 0, size - 1), _tail(1, 1, size - 1)))
     far = [(g, add if sign > 0 else sub) for g, sign in terms if g >= _BLOCK]
     c = [0] * 57 + cs  # coefficient n at c[n + 57]; cs keeps the numerator until the end
-    for b in range(0, size, _BLOCK):
+    for b in range(start, size, _BLOCK):
         end = min(b + _BLOCK, size)
         block = cs[b:end]
         for g, op in far:
@@ -353,7 +388,7 @@ def _divide_by_euler(cs: list[int]) -> list[int]:
             c[n] = (x + c[n - 1] + c[n - 2] - c[n - 5] - c[n - 7] + c[n - 12]
                     + c[n - 15] - c[n - 22] - c[n - 26] + c[n - 35] + c[n - 40]
                     - c[n - 51] - c[n - 57])
-    cs[:] = c[57:]
+    cs[start:] = c[57 + start :]
     return cs
 
 

@@ -14,12 +14,13 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left
 from collections import Counter
-from itertools import accumulate, chain
-from operator import add, neg, sub
+from itertools import accumulate, chain, repeat
+from math import isqrt
+from operator import add, gt, neg, sub
 from typing import NamedTuple
 
 from .errors import ImpracticalOrder, InternalInvariantViolation, UnknownIdentity, UnsupportedRegion
-from .partition import MAX_SERIES_COST, _build, _check_ints, _over_euler, _sparse, _tail, p_table
+from .partition import MAX_SERIES_COST, _build, _check_ints, _over_euler, _p_plan, _p_upto, _sparse, _tail
 
 
 class QSeries:
@@ -251,12 +252,13 @@ def _pochhammer(n: int | None, order: int):
 def inv_euler(order: int) -> QSeries:
     """1/(q)_infinity: the coefficient of q^n is p(n).
 
-    The numerator 1 through ``partition._divide_by_euler``, Euler's
-    pentagonal recurrence, in O(order^1.5), as ``p_table`` builds it; priced
-    as it prices, and refused past order 69784 under its own name.
+    Read off the shared p table that ``p_table`` reads, grown by Euler's
+    pentagonal recurrence where it is too short; priced as ``p_table``
+    prices, the full division whatever the process built before, and
+    refused past order 69784 under its own name.
     """
     _check_ints(order=order)
-    return _series(f"inv_euler to order {order}", order, _over_euler([(0, 1)], order))
+    return _series(f"inv_euler to order {order}", order, _p_plan(order))
 
 
 def _levels_plan(k: int, exponent, low: int, top: int, order: int) -> tuple[list[list[int]], int]:
@@ -344,7 +346,11 @@ def _durfee_levels(plan: list[list[int]], order: int) -> list[list[int]]:
                 base = d
             nxt.append((start, acc))
         h = nxt
-    return [[0] * base + cs + [0] * (order + 1 - base - len(cs)) for base, cs in h]
+    out = []
+    for base, cs in h:  # each output allocated once, at full length, before cs goes in
+        out.append([0] * (order + 1))
+        out[-1][base : base + len(cs)] = cs
+    return out
 
 
 def multisum_lhs(k: int, a_shift: int | None, order: int) -> QSeries:
@@ -445,21 +451,17 @@ def _series_plan(k: int, m: int, order: int):
     return (cells, cost), lambda: _rank_rows(k, m, order, levels, passes)
 
 
+# packed census rows are unpacked in batches of about this many rank slots (row n has 2n + 1):
+# a small table at once, and about one row at a time near the cap, so a batch's bytes and words
+# stay small next to the table
+_UNPACK_SLOTS = 1 << 11
+
+
 def _shift_add_rows(rows: list[int], s: int, shift: int) -> None:
     # one z-kernel pass 1/(1 - z^dz q^s) on packed rows, shift = slot bits
     # times s + dz >= 0: row n gains row n - s moved up s + dz rank slots
     for n in range(s, len(rows)):
         rows[n] += rows[n - s] << shift
-
-
-def _unpack_row(row: int, slots: int, words: int) -> tuple[int, ...]:
-    # the slots of words 64-bit words each, lowest first, as integers
-    n = words * slots
-    ws = struct.unpack(f"<{n}Q", row.to_bytes(8 * n, "little"))
-    cells = ws[::words]
-    for j in range(1, words):
-        cells = [w << 64 * j | c if w else c for c, w in zip(cells, ws[j::words])]
-    return tuple(cells)
 
 
 def _rank_series(k: int, m: int, order: int) -> tuple[tuple[int, ...], ...]:
@@ -506,15 +508,28 @@ def _rank_series(k: int, m: int, order: int) -> tuple[tuple[int, ...], ...]:
     end.  For m >= 0 every row total is checked against p(n), less
     q_{k-1}(n) at m = 0 (partitions with at most k - 1 Durfee squares have
     no k 0-rectangles), and a mismatch raises InternalInvariantViolation.
-    Raises ImpracticalOrder when the price of that plan passes the cap.
+    The slot width and p(n) come from the process's one p table
+    (``partition._p_upto``, at most about 10 MB), grown only where it is
+    shorter than the order; the price is the plan's alone, so it is the
+    same whatever tables the process holds.  Raises ImpracticalOrder when
+    the price of that plan passes the cap.
     """
     return _build(f"rank series k={k} m={m} to order {order}", _series_plan(k, m, order))[0]
 
 
 def _rank_rows(k: int, m: int, order: int, levels: list, passes: list) -> tuple:
-    # the run of a _series_plan: the rows of _rank_series, packed, checked and unpacked
-    counts = p_table(order)
-    words = counts[-1].bit_length() // 64 + 1
+    """The run of a ``_series_plan``: the rows of ``_rank_series``, packed,
+    checked and unpacked.
+
+    The slot width and the row totals come from the shared p table, grown
+    only where it is shorter than the order (at most 4471, where the cells
+    alone pass the cap, far below the table's bound).  The packed rows are
+    unpacked in place, in batches of about ``_UNPACK_SLOTS`` slots: a
+    ``bit_length`` test per row, then one ``struct.unpack`` per batch.  The
+    row totals are compared in one pass.
+    """
+    counts = _p_upto(order)
+    words = counts[order].bit_length() // 64 + 1
     width = 64 * words
     rows = [0] * (order + 1)
     for terms, after in zip(reversed(_durfee_levels(levels, order)), passes):
@@ -523,21 +538,36 @@ def _rank_rows(k: int, m: int, order: int, levels: list, passes: list) -> tuple:
                 rows[n] += c << width * n
         for s, dz in after:
             _shift_add_rows(rows, s, width * (s + dz))
-    for n, row in enumerate(rows):  # in place, so the packed table is freed as it goes
-        if row >> width * (2 * n + 1):
+    n = 0
+    while n <= order:  # in place, a batch at a time, so the packed table is freed as it goes
+        end = min(order + 1, max(n + 1, isqrt(n * n + _UNPACK_SLOTS)))  # rows n..end-1
+        batch = rows[n:end]
+        bits = range(width * (2 * n + 1), width * (2 * end + 1), 2 * width)  # of the 2i + 1 slots
+        if any(map(gt, map(int.bit_length, batch), bits)):
+            i = next(i for i, row, b in zip(range(n, end), batch, bits) if row.bit_length() > b)
             raise InternalInvariantViolation(
-                f"packed census row n={n} overflows its {2 * n + 1} slots of {width} bits"
+                f"packed census row n={i} overflows its {2 * i + 1} slots of {width} bits"
                 f" for k={k}, m={m}"
             )
-        rows[n] = _unpack_row(row, 2 * n + 1, words)
+        data = b"".join(map(int.to_bytes, batch, range(bits.start // 8, bits.stop // 8, bits.step // 8),
+                            repeat("little")))
+        ws = struct.unpack(f"<{len(data) // 8}Q", data)
+        cells = ws[::words]  # the low word of each slot, then the higher ones added in
+        for j in range(1, words):
+            cells = [w << 64 * j | c if w else c for c, w in zip(cells, ws[j::words])]
+        cells = tuple(cells)
+        rows[n:end] = [cells[i * i - n * n : (i + 1) * (i + 1) - n * n] for i in range(n, end)]
+        n = end
     if m >= 0:
+        want = counts[: order + 1]
         if m == 0:
-            counts = list(map(sub, counts, q_table(k - 1, order)))
-        for n, (row, want) in enumerate(zip(rows, counts)):
-            if sum(row) != want:
-                raise InternalInvariantViolation(
-                    f"census total {sum(row)} != expected {want} for n={n}, k={k}, m={m}"
-                )
+            want = list(map(sub, want, q_table(k - 1, order)))
+        totals = list(map(sum, rows))
+        if totals != want:
+            n = next(n for n, (got, p) in enumerate(zip(totals, want)) if got != p)
+            raise InternalInvariantViolation(
+                f"census total {totals[n]} != expected {want[n]} for n={n}, k={k}, m={m}"
+            )
     return tuple(rows)
 
 

@@ -4,8 +4,8 @@ import time
 import pytest
 
 import durfee.qseries as qseries_module
-from durfee import census, h_count, multisum_lhs, p_table, q_table
-from durfee.errors import ImpracticalOrder
+from durfee import census, h_count, multisum_lhs, p_table, partition, q_table
+from durfee.errors import ImpracticalOrder, InternalInvariantViolation
 from durfee.qseries import MAX_SERIES_COST, _levels_plan, h_census_series, rank_census
 from durfee.selftest import _enumerated_census
 
@@ -192,6 +192,40 @@ def test_near_cap_sweep_builds_one_series(tables, builds):
             r" coefficient additions \(cap 20000000\); refusing$")):
         census(794, 3, 0)
     assert tables == {}  # the narrower table was dropped before the refused build
+
+
+def test_census_tables_share_one_p_table(tables, monkeypatch):
+    # 30 tables, at orders 32 and 64, grow the process's p table twice, not once per table
+    del partition._p_values[1:]
+    grown = []
+    real = partition._divide_by_euler
+    monkeypatch.setattr(partition, "_divide_by_euler",
+                        lambda cs, start=0: grown.append(len(cs) - 1) or real(cs, start))
+    for n in range(4, 41):
+        for k in (1, 2, 3):
+            for m in range(-2, 3):
+                census(n, k, m)
+    assert grown == [32, 64]
+    assert len(tables) == 15
+
+
+@pytest.mark.parametrize("order, width", [(10, 64), (500, 128)])
+def test_packed_row_overflow_names_the_row(monkeypatch, order, width):
+    # a bit at the bottom of the slot above row n's top slot is an overflow; one at the top of
+    # its top slot is not, but it breaks the row's total.  From n = 417 on, p(n) passes 64 bits.
+    assert (p_table(order)[order].bit_length() > 64) == (width == 128)
+    n = order - 3
+    real = qseries_module._shift_add_rows
+    for bit, error in ((width * (2 * n + 1), rf"packed census row n={n} overflows its {2 * n + 1}"
+                        rf" slots of {width} bits for k=1, m=1"),
+                       (width * (2 * n + 1) - 1, rf"census total \d+ != expected \d+ for n={n}, k=1, m=1")):
+        def shift_add_rows(rows, s, shift, bit=bit):
+            real(rows, s, shift)
+            rows[n] |= 1 << bit
+
+        monkeypatch.setattr(qseries_module, "_shift_add_rows", shift_add_rows)
+        with pytest.raises(InternalInvariantViolation, match=f"^{error}$"):
+            qseries_module._rank_series(1, 1, order)
 
 
 @pytest.mark.parametrize("k, cap", [(1, 644), (3, 793)])

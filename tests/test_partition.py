@@ -1,4 +1,6 @@
 import re
+import sys
+import threading
 import time
 
 import pytest
@@ -17,6 +19,7 @@ from durfee import (
     gen_dyson,
     gen_dyson_inverse,
     insert,
+    inv_euler,
     iterate_remove,
     p_table,
     partitions_of,
@@ -214,6 +217,78 @@ def test_p_table_examples():
     assert p_table(5) == [1, 1, 2, 3, 5, 7]
     assert p_table(0) == [1]
     assert p_table(10)[10] == 42
+
+
+@pytest.fixture
+def p_values():
+    # the shared p table starts at p(0) alone, and a table near the cap (about 10 MB) is not kept
+    del partition._p_values[1:]
+    yield partition._p_values
+    del partition._p_values[1:]
+
+
+def coin_change_p(N):
+    """Oracle: p(0..N) by counting partitions into parts 1..N, one part size at a time."""
+    p = [1] + [0] * N
+    for part in range(1, N + 1):
+        for n in range(part, N + 1):
+            p[n] += p[n - part]
+    return p
+
+
+def test_p_table_grows_from_its_end(p_values):
+    # each call past the end divides only the missing tail, from a start off the 64-block edges
+    want = coin_change_p(2000)
+    for N, held in ((10, 11), (500, 501), (64, 501), (2000, 2001)):
+        assert p_table(N) == want[: N + 1], N
+        assert inv_euler(N).coeffs == tuple(want[: N + 1]), N
+        assert p_values == want[:held], N
+
+
+def test_p_table_grown_from_threads_at_once(p_values):
+    # four threads grow the table past each other's ends; a lost or doubled tail would show
+    want = coin_change_p(1500)
+    orders = [range(t, 1501, 37) for t in (3, 11, 19, 29)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda ns=ns: [p_table(N) for N in ns]) for ns in orders]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert p_values == want[:1500]  # the highest order asked for is 1499
+
+
+def test_p_table_returns_a_fresh_copy(p_values):
+    pt = p_table(20)
+    pt[5] = -1
+    del pt[:3]
+    pt.append(0)
+    assert p_table(20) == coin_change_p(20)
+    assert p_table(30) == coin_change_p(30)
+
+
+def test_p_table_refusals_do_not_depend_on_the_table(p_values):
+    # every call is priced as the full division, so a warm table at the cap changes no refusal
+    def refusals():
+        texts = []
+        for call in (p_table, inv_euler):
+            with pytest.raises(ImpracticalOrder) as e:
+                call(69785)
+            texts.append(str(e.value))
+        return texts
+
+    cold = refusals()
+    assert cold == [f"{what} 69785 needs at least 20000160 coefficient additions (cap 20000000); refusing"
+                    for what in ("p_table to", "inv_euler to order")]
+    assert len(p_values) == 1
+    assert len(p_table(69784)) == len(p_values) == 69785
+    assert refusals() == cold
+    assert len(p_values) == 69785
 
 
 def test_q_table_small_values():

@@ -185,7 +185,6 @@ def test_pochhammer_values():
 def test_inv_euler_two_oracles():
     T = 16
     s = inv_euler(T)
-    assert list(s.coeffs) == p_table(T)  # pentagonal recurrence route
     for n in range(T + 1):  # enumeration route
         assert s.coeffs[n] == len(partitions_of(n))
     assert s * pochhammer(None, T) == QSeries.one(T)
@@ -735,6 +734,9 @@ def test_blocked_division_matches_unblocked_recurrence():
         for N in [*range(131), 200, 300]:
             assert divided(num[: N + 1]) == want[: N + 1], N
             assert divided(num[: N + 1]) == _mul(num, p_table(N), N), N
+            # from a start: the quotient's first coefficients in place, the numerator after them
+            for start in {0, 1, N // 2, max(0, N - 64), N}:
+                assert _divide_by_euler(want[:start] + num[start : N + 1], start) == want[: N + 1]
 
 
 @pytest.mark.parametrize("k", range(1, 7))
