@@ -8,25 +8,20 @@ working lists once, runs its N_k removals as one pass per level, places
 every column it puts back against the residue and merges them in once per
 level.  ``gen_dyson`` and ``gen_dyson_inverse`` take the selection walk
 that ``_rank_raw`` already made, for the a >= A check and for the removal,
-so each walks its selection once.  Every placed part is checked against
-its neighbours and its bound; a failure raises InternalInvariantViolation.
-The image is reassembled by ``_compose_raw``, which checks it with
-``_validate`` and the parts budget.
+so each walks its selection once.  The maps check nothing their own
+arithmetic guarantees; each such fact is proved in the docstring of the
+map that relies on it.  ``_placement`` checks every placed part against
+its neighbours and its bound, and the image is reassembled by
+``_compose_raw``, which checks it with ``_validate`` and the parts budget.
 """
 
 from __future__ import annotations
 
 from .decomposition import _compose_raw, _decompose_raw, _gaps
-from .errors import (
-    InternalInvariantViolation,
-    InvalidDecomposition,
-    RankTooLarge,
-    RankTooSmall,
-    ZeroWidthRectangle,
-)
+from .errors import InvalidDecomposition, RankTooLarge, RankTooSmall, ZeroWidthRectangle
 from .partition import Partition, _check_ints, _conjugate_parts, _refuse_parts
 from .rank import _rank_raw, dyson_rank
-from .select_insert import _insert_raw, _placement, _remove_iterated, _remove_raw, _select_raw
+from .select_insert import _insert_raw, _placement, _remove_iterated, _remove_raw
 
 
 def dyson_map(lam: Partition, r: int) -> Partition:
@@ -62,21 +57,21 @@ def gen_conjugate(lam: Partition, k: int) -> Partition:
     the uniqueness of the placement, the inserted parts are the placements
     of the columns into the residue, so they are placed there at once and
     merged into each side partition in one sort.
+
+    Every column meets a >= A, since the residue's selection total is 0.
+    At m = 0 side i has l <= N_i parts, and P_i = N_i - N_k.  If every
+    step of its removal pass lands inside it, the pass removes N_k parts,
+    or all l when the sides hold fewer than N_k parts in all; otherwise
+    its first step t outside has t >= l - P_i, and it removes t parts.
+    Either way at most P_i parts remain, so the residue walk, entering
+    side i at row 1 + P_i while its total is 0, selects only virtual rows.
     """
     widths, sides, below = _decompose_raw(lam.parts, k, 0)
     n_k = widths[-1]
     bounds = _gaps(widths)
-
-    def where():
-        return f"{lam.text()}, k={k}, m=0"
-
     work = list(map(list, sides))
-    nu = _remove_iterated(work, bounds, n_k, where)
-    alpha_cols = _conjugate_parts(below)
-    smallest = alpha_cols[n_k - 1] if n_k <= len(alpha_cols) else 0
-    if smallest < sum(_select_raw(work, bounds)[1]):
-        raise InternalInvariantViolation(f"column insertion order broke a >= A: {where()}")
-    placed = [_placement(col, work, bounds) for col in alpha_cols]
+    nu = _remove_iterated(work, bounds, n_k)
+    placed = [_placement(col, work, bounds) for col in _conjugate_parts(below)]
     for s, level in zip(work, zip(*placed)):
         s += [v for _, v in level if v]
         s.sort(reverse=True)
@@ -123,6 +118,12 @@ def gen_dyson_inverse(mu: Partition, k: int, m: int, r: int) -> Partition:
     for m < 0) have no preimage and raise InvalidDecomposition.  A
     preimage of more than ``partition.MAX_PARTS`` parts raises
     ImpracticalOrder before any of it is built.
+
+    The removed total is the selection total a: ``_select_raw`` reads
+    part j of a side exactly when j <= len(side), and ``_remove_rows``
+    deletes it under the same condition.  The rows ``_rank_raw`` pads
+    past a zero-width rectangle are row 1 of an empty side, part 0 and
+    nothing deleted.
     """
     if not (type(m) is type(r) is int):  # as in gen_dyson; m + 2 would hide a bool m
         _check_ints(m=m, r=r)
@@ -141,16 +142,7 @@ def gen_dyson_inverse(mu: Partition, k: int, m: int, r: int) -> Partition:
     # w + 1 + m rows; the t rows below follow
     _refuse_parts(sum(widths) + k * (m + 1) + t,
                   lambda: f"preimage of {mu.text()} under k={k}, m={m}, r={r}")
-
-    def where():
-        return f"{mu.text()}, k={k}, m={m}, r={r}"
-
     residue = _remove_raw(sides, rows)
-    removed = sum(map(sum, sides)) - sum(map(sum, residue))
-    if removed != a:
-        raise InternalInvariantViolation(
-            f"removal total {removed} disagrees with selection total {a}: {where()}"
-        )
     # rank >= -r is len(below) <= t: the restored column covers every row below
     alpha = tuple([x + 1 for x in below]) + (1,) * (t - len(below))
     new_widths = tuple([w + 1 for w in widths])

@@ -583,7 +583,9 @@ def _census_rows(k: int, m: int, n: int) -> tuple[tuple[int, ...], ...]:
     multiple of ``_ORDER_STEP``; where that order passes the cost cap, to
     the widest order from n whose plan fits, and if none fits, order n
     refuses and the pair has no table.  Tables are kept for the 32 pairs
-    read most recently (about 24 MB each near the cap).
+    read most recently (about 24 MB each near the cap).  Threads may read
+    at once: each pops and puts back only its own pair, and the eviction
+    reads the oldest pair off a copy of the dict.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -599,7 +601,7 @@ def _census_rows(k: int, m: int, n: int) -> tuple[tuple[int, ...], ...]:
             rows = _rank_series(k, m, n + fit)
     _tables[k, m] = rows
     if len(_tables) > 32:
-        del _tables[next(iter(_tables))]
+        _tables.pop(next(iter(_tables.copy())), None)
     return rows
 
 
@@ -615,7 +617,9 @@ def rank_census(n: int, k: int, m: int) -> Counter:
 def census(n: int, k: int, m: int = 0) -> CensusTable:
     """Full rank census; total is p(n) for m > 0 and p(n) - q_{k-1}(n) for m = 0.
 
-    ``_rank_series`` checks those totals for every n of each series it computes.
+    ``_rank_series`` checks those totals for every n of each series it
+    computes.  For m < 0 the census counts the partitions of n that have k
+    successive m-rectangles; no total is stated or checked for it.
     """
     if not (type(n) is type(k) is type(m) is int):  # the cheap test; the helper names the culprit
         _check_ints(n=n, k=k, m=m)
@@ -787,9 +791,11 @@ def verify_identity(
 
     Each side is the plan of its public series, and the two prices go
     through the cap rule together, so ImpracticalOrder comes before either
-    side is built.  Every order up to 2000 is accepted, whatever k; the cap
-    is 6324 for pentagonal and jacobi k = 1, 9837 for rr k = 2, 6367 for
-    rr k = 3, and 644 (k = 1) or 793 (k = 3) for h_closed_form at m = 0.
+    side is built.  The five series identities (all but h_closed_form)
+    accept every order up to 2000, whatever k; the cap is 6324 for
+    pentagonal and jacobi k = 1, 9837 for rr k = 2 and 6367 for rr k = 3.
+    h_closed_form reads the census engine, capped at 644 (k = 1) or 793
+    (k = 3) for m = 0 and r = 1.
     """
     _check_ints(("k", "a", "m", "r"), order=order, k=k, a=a, m=m, r=r)
     if order < 0:

@@ -198,24 +198,27 @@ def _insert_raw(a, seqs, bounds):
     ]
 
 
-def _remove_pass(s, rest, totals, where):
+def _remove_pass(s, rest, totals):
     """One level of ``_remove_iterated``, in place: adds each step's part to ``totals``.
 
     ``rest`` is P_i and ``totals[t]`` is s_i at step t, the parts it took
     from the levels below, so step t selects the row after P_i - s_i
     surviving parts.  The rows of the steps before it sat above that row,
-    so it is row P_i - s_i + t of the input, 0-based; once a row lies past
-    the stored parts every later one does, and the rest of the steps take 0.
+    so it is row j_t = P_i - s_i + t of the input, 0-based; once a row lies
+    past the stored parts every later one does, and the rest of the steps
+    take 0.
+
+    The rows strictly rise, by induction over the levels from lambda^k up.
+    The totals entering a level weakly fall (at lambda^k they are all 0),
+    so j_t rises by at least 1 per step.  The parts at strictly rising rows
+    of a partition weakly fall, so the pass adds a weakly falling list
+    followed by zeros, and the totals leaving it weakly fall too.
     """
     rows = []
     for t, x in enumerate(totals):
         j = rest - x + t
         if j >= len(s):
             break
-        if rows and j <= rows[-1]:
-            raise InternalInvariantViolation(
-                f"removal at step {t + 1} does not lie below the one before: {where()}"
-            )
         rows.append(j)
     for t, j in enumerate(rows):
         totals[t] += s[j]
@@ -223,7 +226,7 @@ def _remove_pass(s, rest, totals, where):
         del s[j]
 
 
-def _remove_iterated(work, bounds, t, where):
+def _remove_iterated(work, bounds, t):
     """``iterate_remove`` on a list of part lists, in place: the nonzero removed totals.
 
     A removal only exposes rows below the ones it took, so in each partition
@@ -232,16 +235,15 @@ def _remove_iterated(work, bounds, t, where):
     after idx_t - 1 surviving parts, where idx_t is its selected row.  That
     count, P_i - s_i as in ``_placement``, depends only on the parts removed
     from the levels below, so the steps run as one ``_remove_pass`` per
-    level, from lambda^k up.  Each nonzero total deletes a part, so there
-    are at most as many nonzero totals as parts, whatever t; a total of 0
-    means every selected row was virtual, and so is every later one.
-    ``where()`` names the input in the InternalInvariantViolation that
-    ``_remove_pass`` raises.
+    level, from lambda^k up; its docstring proves the rows it removes
+    strictly rise.  Each nonzero total deletes a part, so there are at most
+    as many nonzero totals as parts, whatever t; a total of 0 means every
+    selected row was virtual, and so is every later one.
     """
     totals = [0] * min(t, sum(map(len, work)))
     rest = 0  # P_i
     for i in range(len(work) - 1, -1, -1):
-        _remove_pass(work[i], rest, totals, where)
+        _remove_pass(work[i], rest, totals)
         if i:
             rest += bounds[i - 1]
     return totals[: totals.index(0)] if 0 in totals else totals
@@ -314,7 +316,7 @@ def iterate_remove(
     if t < 0:
         raise ValueError("t must be non-negative")
     work = [list(p.parts) for p in seq.partitions]
-    nu = _remove_iterated(work, seq.bounds, t, lambda: repr(seq))
+    nu = _remove_iterated(work, seq.bounds, t)
     return tuple(nu), PartitionSequence(
         tuple(Partition._fromparts(tuple(s)) for s in work), seq.bounds
     )

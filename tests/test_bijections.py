@@ -1,5 +1,8 @@
+from itertools import product
+
 import pytest
 
+import durfee.select_insert as si
 from durfee import (
     DurfeeDecomposition,
     Partition,
@@ -18,15 +21,18 @@ from durfee import (
     remove_selected,
     select,
 )
+from durfee.decomposition import _decompose_raw, _gaps
 from durfee.errors import (
     DurfeeError,
-    InternalInvariantViolation,
     InvalidDecomposition,
     NoSuchDecomposition,
     RankTooLarge,
     RankTooSmall,
     ZeroWidthRectangle,
 )
+from durfee.rank import _rank_raw
+from durfee.select_insert import _remove_iterated, _remove_raw, _select_raw
+from durfee.selftest import _bounded_sequences
 
 P = Partition
 
@@ -78,41 +84,88 @@ def test_gen_dyson_inverse_rejects_unreachable_images():
         gen_dyson_inverse(P([3]), 1, -1, 0)
 
 
-def test_internal_violation_names_input_and_parameters(monkeypatch):
-    import durfee.select_insert as si
-
-    lam = P([10, 8, 8, 6, 5, 3, 3, 2, 2, 2, 1, 1, 1])
-    mu = gen_dyson(lam, 2, 0, 0)
-    assert gen_dyson_inverse(mu, 2, 0, 0) == lam
-    real = si._remove_rows
-
-    def off_by_one(work, rows):
-        real(work, [j + 1 for j in rows])
-
-    # every removal, copying or in place, goes through the in-place helper
-    monkeypatch.setattr(si, "_remove_rows", off_by_one)
-    with pytest.raises(InternalInvariantViolation) as err:
-        gen_dyson_inverse(mu, 2, 0, 0)
-    assert f"{mu.text()}, k=2, m=0, r=0" in str(err.value)
+# ---------------------------------------------------------------------------
+# Witnesses of the facts the maps rely on without checking them
+# ---------------------------------------------------------------------------
 
 
-def test_conjugate_violation_names_input_and_parameters(monkeypatch):
-    import durfee.select_insert as si
+def test_conjugate_residue_selects_nothing():
+    # gen_conjugate places every column against the residue of its N_k
+    # removals, so a >= A needs the residue's selection total to be 0: at
+    # most P_i = N_i - N_k parts stay in side i, and the walk enters it at row 1 + P_i
+    cases = 0
+    for n in range(27):
+        for lam in partitions_of(n):
+            for k in range(1, 5):
+                try:
+                    widths, sides, _ = _decompose_raw(lam.parts, k, 0)
+                except NoSuchDecomposition:
+                    break
+                bounds = _gaps(widths)
+                work = list(map(list, sides))
+                _remove_iterated(work, bounds, widths[-1])
+                assert all(len(s) <= w - widths[-1] for s, w in zip(work, widths)), (lam, k)
+                assert sum(_select_raw(work, bounds)[1]) == 0, (lam, k)
+                cases += 1
+    assert cases == 40534
 
-    lam = P([9, 8, 8, 6, 5, 4, 3, 2, 2, 2, 1, 1, 1, 1, 1])
-    assert gen_conjugate(gen_conjugate(lam, 2), 2) == lam
+
+def _weakly_falling(xs):
+    return all(x >= y for x, y in zip(xs, xs[1:]))
+
+
+def test_removal_rows_rise_and_totals_fall(monkeypatch):
+    # per level, the totals entering a removal pass weakly fall, so the rows
+    # j_t = P_i - s_i + t it looks at strictly rise and the parts it adds
+    # weakly fall: every sequence of at most 4 partitions, total size <= 6,
+    # bounds <= 3, each removed until nothing is left
+    passes = []
     real = si._remove_pass
 
-    def remove_nothing(s, rest, totals, where):
-        real(list(s), rest, totals, where)
+    def spy(s, rest, totals):
+        before, entering = list(s), list(totals)
+        real(s, rest, totals)
+        passes.append((before, rest, entering, list(totals), list(s)))
 
-    # the removal pass reports its parts but leaves them in the sides, so
-    # the smallest column put back is below the selection total
-    monkeypatch.setattr(si, "_remove_pass", remove_nothing)
-    with pytest.raises(InternalInvariantViolation) as err:
-        gen_conjugate(lam, 2)
-    assert "column insertion order broke a >= A" in str(err.value)
-    assert f"{lam.text()}, k=2, m=0" in str(err.value)
+    monkeypatch.setattr(si, "_remove_pass", spy)
+    for k in range(1, 5):
+        for bounds in product(range(4), repeat=k - 1):
+            for seqs in _bounded_sequences(k, bounds, 6):
+                passes.clear()
+                _remove_iterated(list(map(list, seqs)), bounds, sum(map(len, seqs)))
+                assert len(passes) == k
+                for before, rest, entering, leaving, after in passes:
+                    where = (seqs, bounds, before, rest, entering)
+                    assert _weakly_falling(entering) and _weakly_falling(leaving), where
+                    js = [rest - x + t for t, x in enumerate(entering)]
+                    assert all(i < j for i, j in zip(js, js[1:])), where
+                    rows = [j for j in js if j < len(before)]
+                    added = [y - x for x, y in zip(entering, leaving)]
+                    assert added == [before[j] for j in rows] + [0] * (len(js) - len(rows)), where
+                    assert after == [v for j, v in enumerate(before) if j not in rows], where
+
+
+def test_removal_takes_the_selected_total():
+    # _remove_raw deletes a row exactly when _select_raw reads it, so
+    # gen_dyson_inverse removes its selection total a: on every bounded
+    # sequence, and on the walks _rank_raw pads past a zero-width rectangle
+    def removed(seqs, rows):
+        return sum(map(sum, seqs)) - sum(map(sum, _remove_raw(seqs, rows)))
+
+    for k in range(1, 5):
+        for bounds in product(range(4), repeat=k - 1):
+            for seqs in _bounded_sequences(k, bounds, 6):
+                rows, parts = _select_raw(seqs, bounds)
+                assert removed(seqs, rows) == sum(parts), (seqs, bounds)
+    for n in range(15):
+        for lam in partitions_of(n):
+            for k in (1, 2, 3):
+                for m in range(-2, 3):
+                    try:
+                        _, sides, _, rows, parts = _rank_raw(lam.parts, k, m)
+                    except NoSuchDecomposition:
+                        continue
+                    assert removed(sides, rows) == sum(parts), (lam, k, m)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 import time
 
 import pytest
@@ -207,6 +209,40 @@ def test_census_tables_share_one_p_table(tables, monkeypatch):
                 census(n, k, m)
     assert grown == [32, 64]
     assert len(tables) == 15
+
+
+def test_census_readers_from_threads_at_once(tables):
+    # 40 pairs cycle through the 32 kept tables, so nearly every call builds one and evicts
+    # another while the other threads do the same; each reader must still read its own rows
+    pairs = [(k, m) for k in range(1, 9) for m in range(-2, 3)]
+    readers = (lambda k, m: census(3, k, m).rows, lambda k, m: rank_census(3, k, m),
+               lambda k, m: h_count(3, k, m, 0, "le"))
+    want = [{p: read(*p) for p in pairs} for read in readers]
+    errors = []
+
+    def run(t):
+        try:
+            for i in range(300):
+                p = pairs[(i + 10 * t) % len(pairs)]
+                assert readers[i % 3](*p) == want[i % 3][p], p
+        except Exception as e:  # a thread's traceback would not fail the test
+            errors.append(repr(e))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            tables.clear()
+            threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(switch)
+    assert errors == []
+    assert len(tables) <= 32
 
 
 @pytest.mark.parametrize("order, width", [(10, 64), (500, 128)])

@@ -298,6 +298,23 @@ def test_every_imported_name_is_used():
     assert unused == {}
 
 
+def test_internal_violations_are_raised_where_pinned():
+    # an invariant is checked once, where it is made: the insertion theorem in
+    # _placement, the census engine's packed rows, and the unit-insertion
+    # oracle; a new re-check has to be added here on purpose
+    sites = {}
+    for path in Path(cli.__file__).resolve().parent.glob("*.py"):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                            and getattr(node.exc.func, "id", None) == "InternalInvariantViolation"):
+                        key = f"{path.stem}.{func.name}"
+                        sites[key] = sites.get(key, 0) + 1
+    assert sites == {"select_insert._placement": 1, "qseries._rank_rows": 2,
+                     "selftest._unit_insert": 1}
+
+
 def test_closed_pipe_exits_without_traceback(tmp_path):
     # the reader takes one line and goes; with far more output than a pipe
     # buffers, the next write fails, and the CLI must exit without a traceback

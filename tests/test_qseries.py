@@ -336,12 +336,18 @@ def test_verify_caps_are_the_pair_prices(sides_priced_only):
     for (name, values), cap in VERIFY_CAPS.items():
         params = verify_params(name, values)
         assert verify_identity(name, cap, **params).ok, (name, params)
-    # every order up to 2000 is accepted, whatever k: rr at k = 10^6 is the
-    # costliest pair there (16,109,140 additions)
+    # the five series identities accept every order up to 2000, whatever k:
+    # rr at k = 10^6 is the costliest pair there (16,109,140 additions)
+    assert verify_identity("pentagonal", 2000).ok
     for k in (1, 2, 3, 10, 10**6):
         for name in ("schur", "rr", "jacobi"):
             assert verify_identity(name, 2000, k=k).ok, (name, k)
-        assert verify_identity("andrews", 2000, k=k, a=1).ok, k
+        for a in (1, k):
+            assert verify_identity("andrews", 2000, k=k, a=a).ok, (k, a)
+    # h_closed_form reads the census engine, whose cap lies far below 2000
+    for k in (1, 50):
+        with pytest.raises(ImpracticalOrder):
+            verify_identity("h_closed_form", 2000, k=k, m=0, r=1)
 
 
 def test_verify_refuses_one_order_past_its_cap_at_once():
